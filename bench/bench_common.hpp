@@ -87,7 +87,7 @@ class BenchReporter {
     options.include_volatile = export_volatile_;
     int rc = 0;
     if (!json_path_.empty()) {
-      if (obs::write_json_file(json_path_, registry_, nullptr, options)) {
+      if (obs::write_json_file(json_path_, registry_, options)) {
         std::printf("json snapshot: %s\n", json_path_.c_str());
       } else {
         std::fprintf(stderr, "error: cannot write %s\n", json_path_.c_str());

@@ -235,8 +235,7 @@ int main(int argc, char** argv) {
     ape::obs::ExportOptions profile_options;
     profile_options.meta["bench"] = "bench_engine.profile";
     profile_options.profile = &profiler;
-    if (ape::obs::write_json_file(profile_path, profile_registry, nullptr,
-                                  profile_options)) {
+    if (ape::obs::write_json_file(profile_path, profile_registry, profile_options)) {
       std::printf("profile snapshot: %s\n", profile_path.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write %s\n", profile_path.c_str());

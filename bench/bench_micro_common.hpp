@@ -72,7 +72,7 @@ inline int micro_bench_main(int argc, char** argv, const std::string& bench_name
   options.include_volatile = true;
   int rc = 0;
   if (!json_path.empty()) {
-    if (obs::write_json_file(json_path, registry, nullptr, options)) {
+    if (obs::write_json_file(json_path, registry, options)) {
       std::printf("json snapshot: %s\n", json_path.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());

@@ -155,12 +155,9 @@ int run_smoke(bench::BenchReporter& reporter, const std::vector<workload::AppSpe
   // Stable headline counters for the committed baseline.
   reporter.counter("smoke.accesses", oracle.accesses());
   reporter.counter("smoke.shards.sampled", shards.sampled());
-  reporter.counter("smoke.evict.capacity",
-                   analytics.removals(obs::AnalyticsRemovalCause::Capacity));
-  reporter.counter("smoke.evict.expired",
-                   analytics.removals(obs::AnalyticsRemovalCause::Expired));
-  reporter.counter("smoke.evict.replaced",
-                   analytics.removals(obs::AnalyticsRemovalCause::Replaced));
+  reporter.counter("smoke.evict.capacity", analytics.removals(RemovalCause::Evicted));
+  reporter.counter("smoke.evict.expired", analytics.removals(RemovalCause::Expired));
+  reporter.counter("smoke.evict.replaced", analytics.removals(RemovalCause::Replaced));
   reporter.counter("smoke.evict.doa", analytics.dead_on_arrival());
   reporter.gauge("smoke.hit_ratio", result.hit_ratio());
   reporter.merge_run(result, "analytics");
@@ -262,7 +259,6 @@ int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& a
   testbed::TestbedParams params = analytics_params();
   params.enable_timeline = true;
   params.timeline_interval = sim::seconds(30.0);
-  params.telemetry_scrape_interval = sim::seconds(60.0);
   testbed::Testbed bed(params);
   for (const auto& app : apps) bed.host_app(app);
   (void)testbed::run_workload(bed, apps, config);
@@ -285,7 +281,7 @@ int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& a
   options.meta["bench"] = "mrc";
   options.meta["flavour"] = "analytics";
   options.mrc = &entries;
-  if (!obs::write_json_file(path, bed.observer().metrics(), nullptr, options)) {
+  if (!obs::write_json_file(path, bed.observer().metrics(), options)) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }

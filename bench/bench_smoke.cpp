@@ -99,12 +99,13 @@ int run_timeline(const std::string& timeline_path, const std::vector<workload::A
   testbed::TestbedParams params;
   params.enable_timeline = true;
   params.timeline_interval = sim::seconds(30.0);
-  params.telemetry_scrape_interval = sim::seconds(60.0);
   // Both rules violate while the cache is cold and recover as it warms, so
   // the committed expectations pin a fire -> resolve trajectory.
   params.slo_rules = {
-      "cache-warmup: ap.cache.hit_ratio >= 0.6 over 2 windows resolve 2",
-      "tail-latency: client.total_ms p99 <= 40ms over 2 windows resolve 2",
+      obs::parse_slo_rule("cache-warmup: ap.cache.hit_ratio >= 0.6 over 2 windows resolve 2")
+          .value(),
+      obs::parse_slo_rule("tail-latency: client.total_ms p99 <= 40ms over 2 windows resolve 2")
+          .value(),
   };
   testbed::Testbed bed(params);
   for (const auto& app : apps) bed.host_app(app);
@@ -138,7 +139,7 @@ int run_timeline(const std::string& timeline_path, const std::vector<workload::A
   options.meta["flavour"] = "timeline";
   options.timeline = &timeline;
   options.alerts = &slo;
-  if (!obs::write_json_file(timeline_path, bed.observer().metrics(), nullptr, options)) {
+  if (!obs::write_json_file(timeline_path, bed.observer().metrics(), options)) {
     std::fprintf(stderr, "error: cannot write %s\n", timeline_path.c_str());
     return 1;
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/removal_cause.hpp"
 #include "sim/time.hpp"
 
 namespace ape::cache {
@@ -25,19 +26,5 @@ struct CacheEntry {
     return expires <= now ? sim::Duration{0} : expires - now;
   }
 };
-
-// Why an entry left the store.  Lives next to CacheEntry (not the store)
-// because pure accounting types consume it too: CacheStatistics keys its
-// per-cause removal counters on it without pulling in the store header.
-// The flash tier demotes on Evicted only: expired/replaced/erased copies
-// are dead data nobody should pay flash writes for (store/tiered_store.hpp).
-enum class RemovalCause {
-  Evicted,   // capacity pressure, chosen by the eviction policy
-  Expired,   // TTL ran out (lazy get-side erase or sweep_expired)
-  Replaced,  // same-key insert superseded it
-  Erased,    // explicit erase()
-  Cleared,   // store-wide clear()
-};
-inline constexpr std::size_t kRemovalCauseCount = 5;
 
 }  // namespace ape::cache

@@ -21,19 +21,6 @@ namespace ape::core {
 namespace {
 constexpr net::Port kApUpstreamPort = 41053;  // AP's socket toward the LDNS
 
-// cache::RemovalCause -> the obs-local mirror (obs sits below cache in the
-// layer map, so the analytics plane cannot see the cache enum itself).
-obs::AnalyticsRemovalCause analytics_cause(cache::RemovalCause cause) {
-  switch (cause) {
-    case cache::RemovalCause::Evicted: return obs::AnalyticsRemovalCause::Capacity;
-    case cache::RemovalCause::Expired: return obs::AnalyticsRemovalCause::Expired;
-    case cache::RemovalCause::Replaced: return obs::AnalyticsRemovalCause::Replaced;
-    case cache::RemovalCause::Erased: return obs::AnalyticsRemovalCause::Invalidated;
-    case cache::RemovalCause::Cleared: return obs::AnalyticsRemovalCause::Cleared;
-  }
-  return obs::AnalyticsRemovalCause::Invalidated;
-}
-
 std::unique_ptr<cache::EvictionPolicy> make_policy(ApRuntime::Policy policy,
                                                    const ApeConfig& config,
                                                    const sim::Simulator& clock,
@@ -112,11 +99,11 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
   // Registered before the tiered store below, whose demotion hook rides the
   // same listener list (both use add_, neither clobbers the other).
   data_cache_->add_removal_listener(
-      [this](const cache::CacheEntry& entry, cache::RemovalCause cause) {
+      [this](const cache::CacheEntry& entry, RemovalCause cause) {
         stats_.record_removal(cause);
         if (analytics_ != nullptr) {
           analytics_->on_removal(entry.key, entry.size_bytes, std::to_string(entry.app_id),
-                                 analytics_cause(cause), entry.access_count, entry.inserted,
+                                 cause, entry.access_count, entry.inserted,
                                  entry.last_access, network_.simulator().now());
         }
       });
@@ -144,15 +131,15 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
     tier.capacity_bytes = options_.config.flash_capacity_bytes;
     tier.segment_bytes = options_.config.flash_segment_bytes;
     tier.compact_dead_ratio = options_.config.flash_compact_dead_ratio;
-    flash_tier_ = std::make_unique<store::FlashTier>(*flash_device_, *options_.flash_media,
-                                                     tier, observer_);
+    flash_tier_ =
+        std::make_unique<store::FlashTier>(*flash_device_, *options_.flash_media, tier);
     tiered_ = std::make_unique<store::TieredStore>(network_.simulator(), *data_cache_,
                                                    *flash_tier_);
     tiered_->set_observer(observer_);
     // Mount: formatted media means this AP is restarting — replay the
     // journal so the flash tier comes back warm.
     if (options_.flash_media->formatted()) {
-      flash_tier_->recover(network_.simulator().now());
+      flash_tier_->recover();
     }
     // Tier-aware PACM: eviction demotes, so l_d clamps to the flash read.
     if (auto* pacm = dynamic_cast<PacmPolicy*>(&data_cache_->policy())) {
@@ -187,13 +174,8 @@ void ApRuntime::schedule_sweep() {
         // Revalidation retains expired entries on purpose; sweep flash only.
         std::size_t ram_reclaimed = 0;
         if (!data_cache_->retain_expired()) ram_reclaimed = data_cache_->sweep_expired(now);
-        std::size_t flash_reclaimed = 0;
-        if (tiered_ != nullptr) flash_reclaimed = tiered_->sweep_flash_expired(now);
+        if (tiered_ != nullptr) tiered_->sweep_flash_expired(now);
         stats_.record_sweep(ram_reclaimed);
-        if (observer_ != nullptr && ram_reclaimed + flash_reclaimed > 0) {
-          observer_->event(now, "ap", "sweep", "",
-                           std::to_string(ram_reclaimed + flash_reclaimed) + " bytes");
-        }
         schedule_sweep();
       }, APE_EVT("ap.cache.sweep"));
 }
@@ -252,11 +234,11 @@ void ApRuntime::snapshot_metrics() {
   // ledger's histograms/ratios, per-app attribution and MRC bookkeeping.
   // Every key here is gated so default runs stay byte-identical.
   if (analytics_ != nullptr) {
-    m.counter("ap.cache.evict.capacity").set(stats_.removals(cache::RemovalCause::Evicted));
-    m.counter("ap.cache.evict.expired").set(stats_.removals(cache::RemovalCause::Expired));
-    m.counter("ap.cache.evict.replaced").set(stats_.removals(cache::RemovalCause::Replaced));
-    m.counter("ap.cache.evict.invalidated").set(stats_.removals(cache::RemovalCause::Erased));
-    m.counter("ap.cache.evict.cleared").set(stats_.removals(cache::RemovalCause::Cleared));
+    for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
+      const auto cause = static_cast<RemovalCause>(i);
+      m.counter(std::string("ap.cache.evict.") + obs::to_string(cause))
+          .set(stats_.removals(cause));
+    }
     // Demotions are not removals (the object lives on in flash) but they do
     // leave RAM — reported beside the causes to close the budget story.
     m.counter("ap.cache.evict.demoted").set(tiered_ != nullptr ? tiered_->demotions() : 0);
@@ -408,11 +390,6 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
       // DESIGN.md.)  Block-listed URLs force a real answer.
       hot_.dns_short_circuit.add();
       hot_.dns_upstream_avoided.add();
-      if (observer_ != nullptr) {
-        observer_->event(network_.simulator().now(), "ap", "dns_short_circuit",
-                         domain.to_string(),
-                         "flags=" + std::to_string(flags.entries.size()));
-      }
       answer_with_ip(query, domain, net::kDummyIp, 0, std::move(additionals),
                      std::move(respond));
       return;
@@ -661,7 +638,6 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
     // Flash hit: read the body off the device (paying flash time rather
     // than an edge round trip), promote if the RAM policy takes it, serve.
     hot_.http_flash_serves.add();
-    if (observer_ != nullptr) observer_->event(now, "ap", "flash_hit", key);
     obs::ScopedTraceContext ambient(spans(), serve_span);  // -> ap.flash.read
     tiered_->fetch_flash(
         key, now,
@@ -730,10 +706,6 @@ void ApRuntime::miss_fallback(const http::HttpRequest& request, UrlHash hash,
     // Plain cache fetch that raced an eviction/expiry: the client falls
     // back to the edge on 404.
     hot_.http_race_fallback.add();
-    if (observer_ != nullptr) {
-      observer_->event(network_.simulator().now(), "ap", "race_fallback",
-                       hash_to_string(hash));
-    }
     respond(http::make_status_response(404, "not in AP cache"));
     return;
   }
@@ -746,10 +718,6 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
                                 const obs::TraceContext& parent,
                                 http::HttpServer::Responder respond) {
   const std::string key = hash_to_string(hash);
-  if (observer_ != nullptr) {
-    observer_->event(network_.simulator().now(), "ap", "peer_relay", key,
-                     "ap" + std::to_string(peer.ap_id));
-  }
 
   http::HttpRequest relay;
   relay.method = "GET";
@@ -841,7 +809,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
   ++delegations_;
   const sim::Time fetch_start = network_.simulator().now();
   hot_.delegations.add();
-  if (observer_ != nullptr) observer_->event(fetch_start, "ap", "delegate", base);
 
   obs::TraceContext delegate_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
@@ -897,7 +864,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             // locally — no body crossed the WAN.
             ++revalidations_;
             hot_.revalidations.add();
-            if (observer_ != nullptr) observer_->event(now, "ap", "revalidate", key);
             cache::CacheEntry entry = std::move(*stale);
             std::uint32_t ttl = ttl_seconds;
             if (const auto* v =
@@ -946,10 +912,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             // Too large to ever cache: remember that and stop delegating.
             block_list_.block(key);
             hot_.block_listed.add();
-            if (observer_ != nullptr) {
-              observer_->event(now, "ap", "block_list", key,
-                               std::to_string(size) + " bytes");
-            }
           } else {
             cache::CacheEntry entry;
             entry.key = key;
@@ -967,9 +929,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             }
             hot_.cache_inserts.add();
             hot_.delegation_bytes_fetched.add(size);
-            if (observer_ != nullptr) {
-              observer_->event(now, "ap", "admit", key, std::to_string(size) + " bytes");
-            }
           }
 
           // The pulled body crossed the WAN into the AP (kernel RX) and is

@@ -63,13 +63,7 @@ std::optional<std::vector<std::string>> PacmPolicy::select_victims(
   // The solver caps the kept set at (C - S), so evicting its complement
   // always frees at least `bytes_needed`.
   last_ = solver_.select_evictions(cached, incoming.size_bytes, frequencies);
-  if (observer_ != nullptr) {
-    observer_->spans().close(solve_span, now);
-    observer_->event(now, "pacm", "solve", incoming.key,
-                     (last_.exact ? "exact" : "greedy") + std::string(" rounds=") +
-                         std::to_string(last_.repair_rounds) +
-                         " evict=" + std::to_string(last_.evict.size()));
-  }
+  if (observer_ != nullptr) observer_->spans().close(solve_span, now);
   return last_.evict;
 }
 

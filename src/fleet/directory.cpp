@@ -212,10 +212,10 @@ void DirectoryClient::attach(core::ApRuntime& ap) {
   // add_: the AP's own insert hooks (analytics size corrections) must keep
   // firing alongside the directory's PUBLISH.
   store.add_insert_listener([this](const cache::CacheEntry& entry) { publish(entry.key); });
-  store.add_removal_listener([this](const cache::CacheEntry& entry, cache::RemovalCause cause) {
+  store.add_removal_listener([this](const cache::CacheEntry& entry, RemovalCause cause) {
     // Replaced is followed by the superseding insert's PUBLISH; retracting
     // in between would only add a useless un-advertise/re-advertise pair.
-    if (cause == cache::RemovalCause::Replaced) {
+    if (cause == RemovalCause::Replaced) {
       holdings_.erase(entry.key);
       return;
     }
@@ -286,9 +286,6 @@ void DirectoryClient::lookup_peer(const std::string& key, const obs::TraceContex
 void DirectoryClient::note_stale(const std::string& key) {
   hot_.stale_redirects.add();
   answers_.erase(key);
-  if (observer_ != nullptr) {
-    observer_->event(network_.simulator().now(), "dir", "stale_redirect", key);
-  }
 }
 
 void DirectoryClient::on_timeout(std::uint64_t seq) {

@@ -1,115 +1,40 @@
 #include "fleet/fleet_testbed.hpp"
 
 #include <cassert>
-
-#include "obs/sim_metrics.hpp"
 #include <utility>
 
 namespace ape::fleet {
 
 FleetTestbed::FleetTestbed(FleetParams params)
-    : params_(std::move(params)), obs_(params_.trace_capacity, params_.span_capacity) {
+    : Site(params, "lan-switch", net::IpAddress::from_octets(10, 0, 0, 1)),
+      params_(std::move(params)) {
   assert(params_.ap_count > 0);
   assert(params_.shard_count > 0);
   // RETRACT must mean "copy gone"; a flash tier keeps serving demoted
   // copies, so the fleet runs RAM-only APs (see DirectoryClient::attach).
   params_.ape.flash_capacity_bytes = 0;
-  obs_.spans().set_enabled(params_.enable_spans);
-  if (params_.enable_timeline) {
-    obs_.timeline().set_enabled(true);
-    obs_.timeline().set_interval(params_.timeline_interval);
-  }
-  for (const std::string& text : params_.slo_rules) {
-    auto rule = obs::parse_slo_rule(text);
-    assert(rule.ok() && "FleetParams::slo_rules must parse (see obs/slo.hpp grammar)");
-    if (rule.ok()) slo_.add_rule(std::move(rule).value());
-  }
-  build_topology();
-  build_dns();
-  build_edge();
-  build_aps();
-  if (params_.enable_peer_probe) build_directory();
-}
-
-FleetTestbed::~FleetTestbed() {
-  if (timeline_tick_ != 0) sim_.cancel(timeline_tick_);
-}
-
-void FleetTestbed::build_topology() {
-  switch_node_ = topology_.add_node("lan-switch");
-  edge_node_ = topology_.add_node("edge");
-  ldns_node_ = topology_.add_node("ldns");
-  adns_node_ = topology_.add_node("adns");
-  cdn_dns_node_ = topology_.add_node("cdn-dns");
-
-  // Shared uplink: switch -> edge is the 7-hop WAN path every AP shares;
-  // the resolver chain hangs off the same uplink.
-  topology_.add_multi_hop_path(switch_node_, edge_node_, params_.edge_hops,
-                               params_.edge_per_hop, params_.wan_bandwidth);
-  topology_.add_link(switch_node_, ldns_node_,
-                     net::LinkSpec{params_.ldns_one_way, params_.wan_bandwidth});
-  topology_.add_link(ldns_node_, adns_node_,
-                     net::LinkSpec{params_.adns_from_ldns, params_.wan_bandwidth});
-  topology_.add_link(ldns_node_, cdn_dns_node_,
-                     net::LinkSpec{params_.cdn_dns_from_ldns, params_.wan_bandwidth});
-
-  network_ = std::make_unique<net::Network>(sim_, topology_);
-  tcp_ = std::make_unique<net::TcpTransport>(*network_);
-  tcp_->set_observer(&obs_);
-
-  edge_ip_ = net::IpAddress::from_octets(10, 1, 0, 2);
-  ldns_ip_ = net::IpAddress::from_octets(10, 2, 0, 2);
-  adns_ip_ = net::IpAddress::from_octets(10, 3, 0, 2);
-  cdn_dns_ip_ = net::IpAddress::from_octets(10, 4, 0, 2);
-  network_->assign_ip(edge_node_, edge_ip_);
-  network_->assign_ip(ldns_node_, ldns_ip_);
-  network_->assign_ip(adns_node_, adns_ip_);
-  network_->assign_ip(cdn_dns_node_, cdn_dns_ip_);
-  network_->assign_ip(switch_node_, net::IpAddress::from_octets(10, 0, 0, 1));
+  for (const obs::SloRule& rule : params_.slo_rules) slo_.add_rule(rule);
 
   aps_.resize(params_.ap_count);
   for (std::size_t i = 0; i < aps_.size(); ++i) {
     ApSlot& slot = aps_[i];
-    slot.node = topology_.add_node("ap" + std::to_string(i));
-    topology_.add_link(slot.node, switch_node_,
-                       net::LinkSpec{params_.lan_one_way, params_.lan_bandwidth});
+    slot.node = topology().add_node("ap" + std::to_string(i));
+    topology().add_link(slot.node, uplink(), net::LinkSpec{kLanOneWay, kLanBandwidth});
     slot.ip = net::IpAddress::from_octets(10, 10, static_cast<std::uint8_t>(i), 1);
-    network_->assign_ip(slot.node, slot.ip);
+    network().assign_ip(slot.node, slot.ip);
   }
 
   shards_.resize(params_.shard_count);
   for (std::size_t j = 0; j < shards_.size(); ++j) {
     ShardSlot& slot = shards_[j];
-    slot.node = topology_.add_node("dir-shard" + std::to_string(j));
-    topology_.add_link(slot.node, switch_node_,
-                       net::LinkSpec{params_.lan_one_way, params_.lan_bandwidth});
+    slot.node = topology().add_node("dir-shard" + std::to_string(j));
+    topology().add_link(slot.node, uplink(), net::LinkSpec{kLanOneWay, kLanBandwidth});
     slot.ip = net::IpAddress::from_octets(10, 30, static_cast<std::uint8_t>(j), 2);
-    network_->assign_ip(slot.node, slot.ip);
+    network().assign_ip(slot.node, slot.ip);
   }
-}
 
-void FleetTestbed::build_dns() {
-  ldns_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-  adns_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-  cdn_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 4);
-
-  ldns_ = std::make_unique<dns::LocalDnsServer>(*network_, ldns_node_, *ldns_cpu_,
-                                                sim::microseconds(200));
-  adns_ = std::make_unique<dns::AuthoritativeDnsServer>(*network_, adns_node_, *adns_cpu_,
-                                                        sim::microseconds(150));
-  cdn_dns_ = std::make_unique<dns::CdnDnsServer>(*network_, cdn_dns_node_, *cdn_cpu_,
-                                                 sim::microseconds(150));
-  cdn_dns_->set_answer_ttl(params_.cdn_answer_ttl);
-  cdn_dns_->set_region_of(ldns_ip_, "fleet");
-
-  const auto cdn_zone = dns::DnsName::parse("edgecdn.net").value();
-  ldns_->add_delegation(cdn_zone, net::Endpoint{cdn_dns_ip_, net::kDnsPort});
-}
-
-void FleetTestbed::build_edge() {
-  edge_cpu_ = std::make_unique<sim::ServiceQueue>(sim_, 8);
-  edge_ = std::make_unique<http::EdgeCacheServer>(*tcp_, edge_node_, *edge_cpu_);
-  edge_->set_observer(&obs_);
+  build_aps();
+  if (params_.enable_peer_probe) build_directory();
 }
 
 void FleetTestbed::build_aps() {
@@ -119,12 +44,12 @@ void FleetTestbed::build_aps() {
     }
     core::ApRuntime::Options options;
     options.config = params_.ape;
-    options.upstream_dns = net::Endpoint{ldns_ip_, net::kDnsPort};
+    options.upstream_dns = ldns_endpoint();
     options.enable_ape = true;
-    options.policy = params_.policy;
-    options.observer = &obs_;
+    options.policy = core::ApRuntime::Policy::Pacm;
+    options.observer = &observer();
     options.analytics = slot.analytics.get();
-    slot.runtime = std::make_unique<core::ApRuntime>(*network_, *tcp_, slot.node, options);
+    slot.runtime = std::make_unique<core::ApRuntime>(network(), tcp(), slot.node, options);
   }
 }
 
@@ -133,10 +58,10 @@ void FleetTestbed::build_directory() {
   shard_endpoints.reserve(shards_.size());
   for (ShardSlot& slot : shards_) {
     slot.epoch = 1;
-    slot.cpu = std::make_unique<sim::ServiceQueue>(sim_, 2);
+    slot.cpu = std::make_unique<sim::ServiceQueue>(simulator(), 2);
     slot.service = std::make_unique<DirectoryShard>(
-        *network_, slot.node, *slot.cpu,
-        static_cast<std::uint32_t>(&slot - shards_.data()), slot.epoch, &obs_);
+        network(), slot.node, *slot.cpu,
+        static_cast<std::uint32_t>(&slot - shards_.data()), slot.epoch, &observer());
     shard_endpoints.push_back(net::Endpoint{slot.ip, kDirectoryShardPort});
   }
 
@@ -148,56 +73,23 @@ void FleetTestbed::build_directory() {
   for (std::size_t i = 0; i < aps_.size(); ++i) {
     DirectoryClient::Options options;
     options.ap_id = static_cast<std::uint32_t>(i);
-    options.port = kDirectoryClientPort;
     options.shards = shard_endpoints;
     options.roster = roster;
-    options.lookup_ttl = params_.dir_lookup_ttl;
-    options.lookup_timeout = params_.dir_lookup_timeout;
-    options.publish_ttl_s = params_.dir_publish_ttl_s;
     options.lease_interval = params_.dir_lease_interval;
-    options.observer = &obs_;
+    options.observer = &observer();
     aps_[i].directory =
-        std::make_unique<DirectoryClient>(*network_, aps_[i].node, std::move(options));
+        std::make_unique<DirectoryClient>(network(), aps_[i].node, std::move(options));
     aps_[i].directory->attach(*aps_[i].runtime);
   }
-}
-
-void FleetTestbed::host_app(const workload::AppSpec& app) {
-  assert(app.valid());
-  for (auto& object : app.objects()) {
-    edge_->host(object);
-  }
-  const auto domain = dns::DnsName::parse(app.domain).value();
-  const auto cdn_name = dns::DnsName::parse(app.domain + ".edgecdn.net").value();
-  adns_->add_zone(domain);
-  adns_->add_cname(domain, cdn_name, params_.cname_ttl);
-  cdn_dns_->add_service(cdn_name, edge_ip_);
-  cdn_dns_->add_cache_server(cdn_name, "fleet", edge_ip_);
-  ldns_->add_delegation(domain, net::Endpoint{adns_ip_, net::kDnsPort});
 }
 
 FleetTestbed::Client& FleetTestbed::add_client(const std::string& name,
                                                std::uint32_t ap_index) {
   assert(ap_index < aps_.size());
-  auto client = std::make_unique<Client>();
-  client->node = topology_.add_node(name);
-  client->ap = ap_index;
-  topology_.add_link(client->node, aps_[ap_index].node,
-                     net::LinkSpec{params_.wifi_one_way, params_.wifi_bandwidth});
-  const std::uint32_t n = next_client_index_++;
-  network_->assign_ip(client->node,
-                      net::IpAddress::from_octets(10, 20, static_cast<std::uint8_t>(n >> 8),
-                                                  static_cast<std::uint8_t>(n & 0xFF)));
-
-  core::ClientRuntime::Options options;
-  options.ap_dns = net::Endpoint{aps_[ap_index].ip, net::kDnsPort};
-  options.ap_ip = aps_[ap_index].ip;
-  options.ape_enabled = true;
-  options.observer = &obs_;
-  client->runtime = std::make_unique<core::ClientRuntime>(*network_, *tcp_, client->node,
-                                                          next_client_port_++, options);
-  clients_.push_back(std::move(client));
-  return *clients_.back();
+  Client& client = *clients_.emplace_back(std::make_unique<Client>());
+  client.ap = ap_index;
+  attach_client(client, name, aps_[ap_index].node, aps_[ap_index].ip, /*ape_enabled=*/true);
+  return client;
 }
 
 void FleetTestbed::roam(Client& client, std::uint32_t new_ap) {
@@ -205,17 +97,15 @@ void FleetTestbed::roam(Client& client, std::uint32_t new_ap) {
   if (new_ap == client.ap) return;
   // Bring the new association up first (re-arming a previous link if the
   // client roamed here before), then drop the old one.
-  if (topology_.link_exists(client.node, aps_[new_ap].node)) {
-    topology_.set_link_down(client.node, aps_[new_ap].node, false);
+  if (topology().link_exists(client.node, aps_[new_ap].node)) {
+    topology().set_link_down(client.node, aps_[new_ap].node, false);
   } else {
-    topology_.add_link(client.node, aps_[new_ap].node,
-                       net::LinkSpec{params_.wifi_one_way, params_.wifi_bandwidth});
+    topology().add_link(client.node, aps_[new_ap].node,
+                        net::LinkSpec{testbed::kWifiOneWay, testbed::kWifiBandwidth});
   }
-  topology_.set_link_down(client.node, aps_[client.ap].node, true);
+  topology().set_link_down(client.node, aps_[client.ap].node, true);
   client.ap = new_ap;
   client.runtime->roam_to(net::Endpoint{aps_[new_ap].ip, net::kDnsPort}, aps_[new_ap].ip);
-  obs_.event(sim_.now(), "fleet", "roam", topology_.node_name(client.node),
-             "ap" + std::to_string(new_ap));
 }
 
 void FleetTestbed::restart_shard(std::size_t index) {
@@ -226,31 +116,19 @@ void FleetTestbed::restart_shard(std::size_t index) {
          "restart_shard requires a quiesced shard (drain the sim first)");
   slot.service.reset();  // unbinds the UDP port; the registry dies with it
   ++slot.epoch;
-  slot.service = std::make_unique<DirectoryShard>(*network_, slot.node, *slot.cpu,
+  slot.service = std::make_unique<DirectoryShard>(network(), slot.node, *slot.cpu,
                                                   static_cast<std::uint32_t>(index),
-                                                  slot.epoch, &obs_);
-  obs_.event(sim_.now(), "fleet", "shard_restart", "shard" + std::to_string(index),
-             "epoch" + std::to_string(slot.epoch));
+                                                  slot.epoch, &observer());
 }
 
 void FleetTestbed::set_shard_reachable(std::size_t index, bool up) {
   assert(index < shards_.size());
-  topology_.set_link_down(shards_[index].node, switch_node_, !up);
+  topology().set_link_down(shards_[index].node, uplink(), !up);
 }
 
 void FleetTestbed::collect_metrics() {
-  obs::MetricsRegistry& m = obs_.metrics();
-
-  obs::record_sim_metrics(m, sim_);
-
-  m.counter("dns.ldns.queries").set(ldns_->queries_received());
-  m.counter("dns.ldns.upstream_queries").set(ldns_->upstream_queries());
-  m.counter("dns.adns.queries").set(adns_->queries_received());
-  m.counter("dns.cdn.queries").set(cdn_dns_->queries_received());
-
-  m.counter("edge.requests").set(edge_->requests_served());
-  m.counter("edge.hits").set(edge_->hits());
-  m.counter("edge.misses").set(edge_->misses());
+  Site::collect_metrics();
+  obs::MetricsRegistry& m = observer().metrics();
 
   m.gauge("fleet.ap_count").set(static_cast<double>(aps_.size()));
   m.gauge("fleet.shard_count").set(static_cast<double>(shards_.size()));
@@ -270,16 +148,10 @@ void FleetTestbed::collect_metrics() {
     if (aps_[i].analytics != nullptr) {
       // Gated like every analytics key: default runs emit none of these.
       const cache::CacheStatistics& stats = aps_[i].runtime->lookup_stats();
-      m.counter(prefix + ".cache.evict.capacity")
-          .set(stats.removals(cache::RemovalCause::Evicted));
-      m.counter(prefix + ".cache.evict.expired")
-          .set(stats.removals(cache::RemovalCause::Expired));
-      m.counter(prefix + ".cache.evict.replaced")
-          .set(stats.removals(cache::RemovalCause::Replaced));
-      m.counter(prefix + ".cache.evict.invalidated")
-          .set(stats.removals(cache::RemovalCause::Erased));
-      m.counter(prefix + ".cache.evict.cleared")
-          .set(stats.removals(cache::RemovalCause::Cleared));
+      for (std::size_t c = 0; c < kRemovalCauseCount; ++c) {
+        const auto cause = static_cast<RemovalCause>(c);
+        m.counter(prefix + ".cache.evict." + obs::to_string(cause)).set(stats.removals(cause));
+      }
       aps_[i].analytics->record_metrics(m, prefix + ".");
     }
     fleet_cache_bytes += store.used_bytes();
@@ -295,42 +167,10 @@ void FleetTestbed::collect_metrics() {
                                                           : 0));
     m.gauge(prefix + ".epoch").set(static_cast<double>(shards_[j].epoch));
   }
-
-  if (obs_.spans_enabled()) {
-    m.counter("obs.spans.recorded").set(obs_.spans().recorded());
-    m.counter("obs.spans.dropped").set(obs_.spans().dropped());
-    spans_histogrammed_ =
-        obs::record_span_histograms(obs_.spans().spans(), m, spans_histogrammed_);
-  }
 }
 
-void FleetTestbed::start_timeline(sim::Time until) {
-  if (!obs_.timeline_enabled()) return;
-  timeline_until_ = until;
-  schedule_timeline_tick();
-}
-
-void FleetTestbed::schedule_timeline_tick() {
-  timeline_tick_ = sim_.schedule_in(obs_.timeline().interval(), [this] {
-    timeline_tick_ = 0;
-    collect_metrics();
-    obs_.timeline().capture(obs_.metrics(), sim_.now());
-    observe_new_windows();
-    if (sim_.now() + obs_.timeline().interval() <= timeline_until_) {
-      schedule_timeline_tick();
-    }
-  }, APE_EVT("controller.timeline.tick"));
-}
-
-void FleetTestbed::flush_timeline() {
-  if (!obs_.timeline_enabled()) return;
-  collect_metrics();
-  obs_.timeline().capture(obs_.metrics(), sim_.now());
-  observe_new_windows();
-}
-
-void FleetTestbed::observe_new_windows() {
-  const auto& windows = obs_.timeline().windows();
+void FleetTestbed::on_window_captured() {
+  const auto& windows = observer().timeline().windows();
   for (; slo_windows_seen_ < windows.size(); ++slo_windows_seen_) {
     slo_.observe(windows[slo_windows_seen_]);
   }

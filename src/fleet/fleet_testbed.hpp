@@ -1,6 +1,7 @@
 // Multi-AP fleet testbed (DESIGN.md §5j): N APE-CACHE access points on one
 // LAN behind a shared uplink, a sharded cooperative-cache directory on
-// controller nodes, and the usual single-testbed DNS/edge back half.
+// controller nodes, and the single-AP testbed's DNS/edge back half (the
+// shared testbed::Site, whose uplink here is the LAN switch).
 //
 //   clients --WiFi--> ap0..apN --LAN switch--> directory shards
 //                          |--7 hops--> edge cache server
@@ -21,87 +22,40 @@
 
 #include "common/shard.hpp"
 #include "core/ap_runtime.hpp"
-#include "core/client_runtime.hpp"
-#include "dns/adns.hpp"
-#include "dns/cdn_dns.hpp"
-#include "dns/ldns.hpp"
 #include "fleet/directory.hpp"
-#include "http/edge_server.hpp"
-#include "obs/cache_analytics.hpp"
-#include "obs/observer.hpp"
 #include "obs/slo.hpp"
-#include "workload/app_model.hpp"
+#include "testbed/site.hpp"
 
 namespace ape::fleet {
 
-struct FleetParams {
+// The LAN hop is switch-local (AP <-> switch <-> AP ≈ 0.4 ms one way),
+// which is what makes a peer relay land between a local hit and an edge
+// fetch.
+inline constexpr sim::Duration kLanOneWay = sim::microseconds(200);
+inline constexpr double kLanBandwidth = 125e6;  // GigE switch
+
+// `ape` is every AP's config; its flash tier is forcibly disabled: the
+// directory equates removal with "copy gone", which a flash demotion would
+// violate (see DirectoryClient::attach).
+struct FleetParams : testbed::SiteParams {
   std::size_t ap_count = 4;
   std::size_t shard_count = 2;
-  // Per-AP APE-CACHE config.  The flash tier is forcibly disabled: the
-  // directory equates removal with "copy gone", which a flash demotion
-  // would violate (see DirectoryClient::attach).
-  core::ApeConfig ape;
-  core::ApRuntime::Policy policy = core::ApRuntime::Policy::Pacm;
   // false: no directory, APs are N isolated caches (the bench baseline the
   // fleet-wide hit ratio is compared against).
   bool enable_peer_probe = true;
-
-  // Link calibration.  WiFi/WAN/DNS numbers match testbed::Testbed; the LAN
-  // hop is switch-local (AP <-> switch <-> AP ≈ 0.4 ms one way), which is
-  // what makes a peer relay land between a local hit and an edge fetch.
-  sim::Duration wifi_one_way{sim::microseconds(1750)};
-  double wifi_bandwidth = 30e6;
-  sim::Duration lan_one_way{sim::microseconds(200)};
-  double lan_bandwidth = 125e6;  // GigE switch
-  std::size_t edge_hops = 7;
-  sim::Duration edge_per_hop{sim::microseconds(1070)};
-  double wan_bandwidth = 60e6;
-  sim::Duration ldns_one_way{sim::microseconds(7000)};
-  sim::Duration adns_from_ldns{sim::microseconds(15000)};
-  sim::Duration cdn_dns_from_ldns{sim::microseconds(2000)};
-  std::uint32_t cdn_answer_ttl = 0;
-  std::uint32_t cname_ttl = 3600;
-
-  // Directory staleness/lease knobs (DirectoryClient::Options).
-  sim::Duration dir_lookup_ttl = sim::seconds(2.0);
-  sim::Duration dir_lookup_timeout = sim::milliseconds(10.0);
-  std::uint32_t dir_publish_ttl_s = 60;
+  // DirectoryClient::Options::lease_interval; the other directory timings
+  // keep their DirectoryClient::Options defaults.
   sim::Duration dir_lease_interval = sim::seconds(20.0);
-
-  // Observability (same opt-in semantics as TestbedParams: spans/timeline
-  // change wire bytes / schedule ticks, so they are off by default).
-  std::size_t trace_capacity = obs::TraceLog::kDefaultCapacity;
-  bool enable_spans = false;
-  std::size_t span_capacity = obs::SpanLog::kDefaultCapacity;
-  bool enable_timeline = false;
-  sim::Duration timeline_interval{sim::seconds(30.0)};
-  // Rules evaluated once per captured window (obs::parse_slo_rule grammar).
-  std::vector<std::string> slo_rules;
-  // Cache analytics plane (DESIGN.md §5l): one obs::CacheAnalytics per AP,
-  // all built from the same config.  Report-only and off by default —
-  // enabling it adds fleet.ap<i>.cache.* export keys but must not change
-  // any simulated outcome.
-  bool enable_analytics = false;
-  obs::CacheAnalyticsConfig analytics;
 };
 
-class FleetTestbed {
+class FleetTestbed : public testbed::Site {
   APE_SHARD_CONTEXT(controller);
 
  public:
   explicit FleetTestbed(FleetParams params);
-  ~FleetTestbed();
-  FleetTestbed(const FleetTestbed&) = delete;
-  FleetTestbed& operator=(const FleetTestbed&) = delete;
 
-  // Hosts the app on the edge and publishes its domain, exactly as the
-  // single-AP testbed does — the fleet shares one DNS hierarchy.
-  void host_app(const workload::AppSpec& app);
-
-  struct Client {
-    net::NodeId node{};
+  struct Client : Site::Client {
     std::uint32_t ap = 0;  // current attachment
-    std::unique_ptr<core::ClientRuntime> runtime;
   };
 
   Client& add_client(const std::string& name, std::uint32_t ap_index);
@@ -122,9 +76,6 @@ class FleetTestbed {
   void set_shard_reachable(std::size_t index, bool up);
 
   // --- accessors -----------------------------------------------------------
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
-  [[nodiscard]] net::Network& network() noexcept { return *network_; }
-  [[nodiscard]] obs::Observer& observer() noexcept { return obs_; }
   [[nodiscard]] const FleetParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t ap_count() const noexcept { return aps_.size(); }
   [[nodiscard]] core::ApRuntime& ap(std::size_t i) noexcept { return *aps_[i].runtime; }
@@ -138,22 +89,14 @@ class FleetTestbed {
   }
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] DirectoryShard& shard(std::size_t i) noexcept { return *shards_[i].service; }
-  [[nodiscard]] http::EdgeCacheServer& edge() noexcept { return *edge_; }
-  [[nodiscard]] net::IpAddress edge_ip() const noexcept { return edge_ip_; }
+  // Fed every captured timeline window (enable_timeline runs only).
   [[nodiscard]] obs::SloEvaluator& slo() noexcept { return slo_; }
 
-  // Fleet-wide pull-phase metrics: sim/DNS/edge tallies plus per-AP
-  // fleet.ap<i>.* gauges and per-shard dir.shard<i>.* gauges.  Does NOT
-  // call ApRuntime::snapshot_metrics — its ap.* gauge names are unqualified
-  // and N runtimes would clobber each other.
-  void collect_metrics();
-
-  // Timeline support (enable_timeline runs only): periodic
-  // collect_metrics + Timeline::capture ticks until `until`, feeding every
-  // new window through the SLO evaluator.  flush_timeline() takes the final
-  // partition-exact capture after the last registry mutation.
-  void start_timeline(sim::Time until);
-  void flush_timeline();
+  // The site's metrics plus per-AP fleet.ap<i>.* gauges and per-shard
+  // dir.shard<i>.* gauges.  Does NOT call ApRuntime::snapshot_metrics —
+  // its ap.* gauge names are unqualified and N runtimes would clobber each
+  // other.
+  void collect_metrics() override;
 
  private:
   struct ApSlot {
@@ -173,45 +116,17 @@ class FleetTestbed {
     std::unique_ptr<DirectoryShard> service;
   };
 
-  void build_topology();
-  void build_dns();
-  void build_edge();
   void build_aps();
   void build_directory();
-  void schedule_timeline_tick();
-  void observe_new_windows();
+  void on_window_captured() override;
 
   APE_SHARD_LOCAL(controller) FleetParams params_;
-  APE_SHARD_SHARED obs::Observer obs_;
-  APE_SHARD_SHARED sim::Simulator sim_;
-  APE_SHARD_LOCAL(controller) net::Topology topology_;
-  APE_SHARD_SHARED std::unique_ptr<net::Network> network_;
-  APE_SHARD_SHARED std::unique_ptr<net::TcpTransport> tcp_;
-
-  APE_SHARD_LOCAL(controller) net::NodeId switch_node_{}, edge_node_{}, ldns_node_{},
-      adns_node_{}, cdn_dns_node_{};
-  APE_SHARD_LOCAL(controller) net::IpAddress edge_ip_{}, ldns_ip_{}, adns_ip_{},
-      cdn_dns_ip_{};
-
-  APE_SHARD_LOCAL(controller) std::unique_ptr<sim::ServiceQueue> edge_cpu_, ldns_cpu_,
-      adns_cpu_, cdn_cpu_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<http::EdgeCacheServer> edge_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::LocalDnsServer> ldns_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::AuthoritativeDnsServer> adns_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<dns::CdnDnsServer> cdn_dns_;
-
   APE_SHARD_LOCAL(controller) std::vector<ApSlot> aps_;
   APE_SHARD_LOCAL(controller) std::vector<ShardSlot> shards_;
   APE_SHARD_LOCAL(controller) std::vector<std::unique_ptr<Client>> clients_;
-  APE_SHARD_LOCAL(controller) net::Port next_client_port_ = 49152;
-  APE_SHARD_LOCAL(controller) std::uint32_t next_client_index_ = 0;
 
   APE_SHARD_LOCAL(controller) obs::SloEvaluator slo_;
   APE_SHARD_LOCAL(controller) std::size_t slo_windows_seen_ = 0;
-  // collect_metrics() span-folding idempotency cursor
-  APE_SHARD_LOCAL(controller) std::size_t spans_histogrammed_ = 0;
-  APE_SHARD_LOCAL(controller) sim::Time timeline_until_{};
-  APE_SHARD_LOCAL(controller) sim::Simulator::EventId timeline_tick_ = 0;
 };
 
 }  // namespace ape::fleet

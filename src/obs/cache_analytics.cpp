@@ -9,12 +9,12 @@ namespace ape::obs {
 namespace {
 
 // Registry/export names per cause — fixed order matches the enum.
-constexpr std::array<const char*, kAnalyticsCauseCount> kCauseNames = {
+constexpr std::array<const char*, kRemovalCauseCount> kCauseNames = {
     "capacity", "expired", "replaced", "invalidated", "cleared"};
 
 }  // namespace
 
-const char* to_string(AnalyticsRemovalCause cause) noexcept {
+const char* to_string(RemovalCause cause) noexcept {
   return kCauseNames[static_cast<std::size_t>(cause)];
 }
 
@@ -51,7 +51,7 @@ void CacheAnalytics::on_insert(const std::string& key, std::uint64_t size_bytes)
 }
 
 void CacheAnalytics::on_removal(const std::string& key, std::uint64_t size_bytes,
-                                const std::string& app, AnalyticsRemovalCause cause,
+                                const std::string& app, RemovalCause cause,
                                 std::uint64_t access_count, sim::Time inserted,
                                 sim::Time last_access, sim::Time now) {
   (void)key;
@@ -60,11 +60,11 @@ void CacheAnalytics::on_removal(const std::string& key, std::uint64_t size_bytes
   ++app_tallies_[app].removals[static_cast<std::size_t>(cause)];
   lifetime_ms_.record(sim::to_millis(now - inserted));
   reuse_gap_ms_.record(sim::to_millis(now - last_access));
-  if (cause == AnalyticsRemovalCause::Capacity && access_count == 0) ++dead_on_arrival_;
+  if (cause == RemovalCause::Evicted && access_count == 0) ++dead_on_arrival_;
 }
 
 double CacheAnalytics::dead_on_arrival_ratio() const noexcept {
-  const std::uint64_t evicted = cause_counts_[static_cast<std::size_t>(AnalyticsRemovalCause::Capacity)];
+  const std::uint64_t evicted = cause_counts_[static_cast<std::size_t>(RemovalCause::Evicted)];
   return evicted == 0 ? 0.0
                       : static_cast<double>(dead_on_arrival_) / static_cast<double>(evicted);
 }
@@ -125,7 +125,7 @@ std::string CacheAnalytics::encode_report() const {
   // byte count by the telemetry appendix; shape kept greppable for tests.
   std::string out = "ANALYTICS v1\n";
   out += "EVICT";
-  for (std::size_t i = 0; i < kAnalyticsCauseCount; ++i) {
+  for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
     out += ' ';
     out += kCauseNames[i];
     out += '=' + std::to_string(cause_counts_[i]);

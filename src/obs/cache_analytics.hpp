@@ -19,10 +19,9 @@
 // reconcile() re-checks it and tools/mrc_report.py --validate re-checks it
 // again offline.
 //
-// Cause values arrive as an obs-local enum and keys/apps as plain strings
-// because obs sits *below* cache in the layer map (same pattern as
-// EngineProfiler's NetPathStats): the ApRuntime that owns both translates
-// cache::RemovalCause at the listener boundary.
+// Keys/apps arrive as plain strings because obs sits *below* cache in the
+// layer map (same pattern as EngineProfiler's NetPathStats); the removal
+// cause is the cache's own RemovalCause, which lives in common/.
 #pragma once
 
 #include <array>
@@ -31,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/removal_cause.hpp"
 #include "obs/metrics.hpp"
 #include "obs/mrc.hpp"
 #include "sim/time.hpp"
@@ -38,19 +38,9 @@
 
 namespace ape::obs {
 
-// Mirror of cache::RemovalCause, translated at the ApRuntime boundary.
-// `Demoted` (RAM -> flash) never reaches the removal listener — the tiered
-// store counts it separately — so the ledger does not carry it.
-enum class AnalyticsRemovalCause : std::uint8_t {
-  Capacity = 0,     // evicted by the placement policy under byte pressure
-  Expired = 1,      // TTL lapsed
-  Replaced = 2,     // superseded by a fresh insert of the same key
-  Invalidated = 3,  // explicitly erased (origin invalidation, block list)
-  Cleared = 4,      // store-wide reset
-};
-inline constexpr std::size_t kAnalyticsCauseCount = 5;
-
-[[nodiscard]] const char* to_string(AnalyticsRemovalCause cause) noexcept;
+// Export/registry name of a cause: the ledger calls an Evicted entry a
+// "capacity" eviction and an Erased one "invalidated".
+[[nodiscard]] const char* to_string(RemovalCause cause) noexcept;
 
 enum class LookupOutcome : std::uint8_t { Hit, Miss, Delegation };
 
@@ -66,7 +56,7 @@ class CacheAnalytics {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t delegations = 0;
-    std::array<std::uint64_t, kAnalyticsCauseCount> removals{};
+    std::array<std::uint64_t, kRemovalCauseCount> removals{};
   };
 
   explicit CacheAnalytics(CacheAnalyticsConfig config = {});
@@ -75,7 +65,7 @@ class CacheAnalytics {
                  LookupOutcome outcome);
   void on_insert(const std::string& key, std::uint64_t size_bytes);
   void on_removal(const std::string& key, std::uint64_t size_bytes, const std::string& app,
-                  AnalyticsRemovalCause cause, std::uint64_t access_count, sim::Time inserted,
+                  RemovalCause cause, std::uint64_t access_count, sim::Time inserted,
                   sim::Time last_access, sim::Time now);
 
   // Exact partition invariant against CacheStatistics totals.  Returns one
@@ -94,7 +84,7 @@ class CacheAnalytics {
 
   [[nodiscard]] const std::vector<MrcProfiler>& profilers() const noexcept { return profilers_; }
   [[nodiscard]] const std::map<std::string, AppTally>& apps() const noexcept { return app_tallies_; }
-  [[nodiscard]] std::uint64_t removals(AnalyticsRemovalCause cause) const noexcept {
+  [[nodiscard]] std::uint64_t removals(RemovalCause cause) const noexcept {
     return cause_counts_[static_cast<std::size_t>(cause)];
   }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -117,7 +107,7 @@ class CacheAnalytics {
   std::uint64_t delegations_ = 0;
 
   // Eviction-cause ledger.
-  std::array<std::uint64_t, kAnalyticsCauseCount> cause_counts_{};
+  std::array<std::uint64_t, kRemovalCauseCount> cause_counts_{};
   std::uint64_t dead_on_arrival_ = 0;
   stats::Histogram lifetime_ms_{"ms"};
   stats::Histogram reuse_gap_ms_{"ms"};

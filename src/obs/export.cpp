@@ -14,13 +14,6 @@ namespace ape::obs {
 
 namespace {
 
-// All five removal causes, in enum order — the export always emits the full
-// set so consumers never have to probe for keys.
-constexpr std::array<AnalyticsRemovalCause, kAnalyticsCauseCount> kAllCauses = {
-    AnalyticsRemovalCause::Capacity, AnalyticsRemovalCause::Expired,
-    AnalyticsRemovalCause::Replaced, AnalyticsRemovalCause::Invalidated,
-    AnalyticsRemovalCause::Cleared};
-
 void append_mrc_points(std::ostream& out, const std::vector<MrcPoint>& points) {
   out << "[";
   bool first = true;
@@ -53,9 +46,11 @@ void append_analytics_body(std::ostream& out, const CacheAnalytics& plane) {
   }
   out << "},\"evict\":{";
   first = true;
-  for (const AnalyticsRemovalCause cause : kAllCauses) {
+  // All five causes, in enum order: consumers never have to probe for keys.
+  for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
     if (!first) out << ",";
     first = false;
+    const auto cause = static_cast<RemovalCause>(i);
     out << "\"" << to_string(cause) << "\":" << plane.removals(cause);
   }
   out << ",\"doa\":" << plane.dead_on_arrival() << "}";
@@ -101,7 +96,7 @@ void append_mrc_section(std::ostream& out, const std::vector<AnalyticsExportEntr
   out << "],\"rollup\":{\"profilers\":{";
 
   std::map<std::string, MrcRollup> rollups;
-  std::array<std::uint64_t, kAnalyticsCauseCount> causes{};
+  std::array<std::uint64_t, kRemovalCauseCount> causes{};
   std::uint64_t doa = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -125,8 +120,8 @@ void append_mrc_section(std::ostream& out, const std::vector<AnalyticsExportEntr
       if (r.weights.size() < w.size()) r.weights.resize(w.size(), 0.0);
       for (std::size_t b = 0; b < w.size(); ++b) r.weights[b] += w[b];
     }
-    for (std::size_t i = 0; i < kAnalyticsCauseCount; ++i) {
-      causes[i] += plane.removals(static_cast<AnalyticsRemovalCause>(i));
+    for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
+      causes[i] += plane.removals(static_cast<RemovalCause>(i));
     }
     doa += plane.dead_on_arrival();
     hits += plane.hits();
@@ -161,10 +156,10 @@ void append_mrc_section(std::ostream& out, const std::vector<AnalyticsExportEntr
   }
   out << "},\"evict\":{";
   first = true;
-  for (std::size_t i = 0; i < kAnalyticsCauseCount; ++i) {
+  for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << to_string(static_cast<AnalyticsRemovalCause>(i)) << "\":" << causes[i];
+    out << "\"" << to_string(static_cast<RemovalCause>(i)) << "\":" << causes[i];
   }
   out << ",\"doa\":" << doa << "},\"totals\":{\"hits\":" << hits << ",\"misses\":" << misses
       << ",\"delegations\":" << delegations << "}}}";
@@ -234,8 +229,8 @@ std::string json_escape(const std::string& raw) {
   return out;
 }
 
-void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceLog* trace,
-                const ExportOptions& options, const SpanLog* spans) {
+void write_json(std::ostream& out, const MetricsRegistry& registry,
+                const ExportOptions& options) {
   const auto stable = [](const auto& entry) {
     return entry.volatility == Volatility::Stable;
   };
@@ -335,39 +330,6 @@ void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceL
     out << "}";
   }
 
-  if (options.include_trace && trace != nullptr) {
-    out << ",\"trace\":{\"capacity\":" << trace->capacity()
-        << ",\"recorded\":" << trace->recorded() << ",\"dropped\":" << trace->dropped()
-        << ",\"events\":[";
-    first = true;
-    for (const TraceEvent& ev : trace->snapshot()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"t_us\":" << ev.at.since_epoch.count() << ",\"component\":\""
-          << json_escape(ev.component) << "\",\"kind\":\"" << json_escape(ev.kind)
-          << "\",\"key\":\"" << json_escape(ev.key) << "\",\"detail\":\""
-          << json_escape(ev.detail) << "\"}";
-    }
-    out << "]}";
-  }
-
-  if (options.include_spans && spans != nullptr) {
-    out << ",\"spans\":{\"capacity\":" << spans->capacity()
-        << ",\"recorded\":" << spans->recorded() << ",\"dropped\":" << spans->dropped()
-        << ",\"open\":" << spans->open_count() << ",\"spans\":[";
-    first = true;
-    for (const Span& span : spans->spans()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"trace\":" << span.trace << ",\"span\":" << span.id
-          << ",\"parent\":" << span.parent << ",\"name\":\"" << json_escape(span.name)
-          << "\",\"component\":\"" << json_escape(span.component) << "\",\"key\":\""
-          << json_escape(span.key) << "\",\"start_us\":" << span.start.since_epoch.count()
-          << ",\"end_us\":" << span.end.since_epoch.count() << "}";
-    }
-    out << "]}";
-  }
-
   if (options.timeline != nullptr) {
     const Timeline& tl = *options.timeline;
     out << ",\"timeseries\":{\"interval_us\":" << tl.interval().count() << ",\"windows\":[";
@@ -440,10 +402,9 @@ void write_json(std::ostream& out, const MetricsRegistry& registry, const TraceL
   out << "}\n";
 }
 
-std::string to_json(const MetricsRegistry& registry, const TraceLog* trace,
-                    const ExportOptions& options, const SpanLog* spans) {
+std::string to_json(const MetricsRegistry& registry, const ExportOptions& options) {
   std::ostringstream os;
-  write_json(os, registry, trace, options, spans);
+  write_json(os, registry, options);
   return os.str();
 }
 
@@ -469,11 +430,10 @@ void write_csv(std::ostream& out, const MetricsRegistry& registry, bool include_
 }
 
 bool write_json_file(const std::string& path, const MetricsRegistry& registry,
-                     const TraceLog* trace, const ExportOptions& options,
-                     const SpanLog* spans) {
+                     const ExportOptions& options) {
   std::ofstream file(path);
   if (!file) return false;
-  write_json(file, registry, trace, options, spans);
+  write_json(file, registry, options);
   return static_cast<bool>(file);
 }
 

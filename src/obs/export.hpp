@@ -1,4 +1,5 @@
-// Machine-readable snapshot exporters for MetricsRegistry / TraceLog.
+// Machine-readable snapshot exporters for a MetricsRegistry and the opt-in
+// planes (timeline, alerts, engine profile, cache analytics).
 //
 // The JSON schema ("ape.obs.v1") is the contract the bench suite, the
 // committed baselines under bench/baselines/ and scripts/
@@ -14,16 +15,6 @@
 //                                "stddev": <f>, "p50": <f>, "p90": <f>,
 //                                "p95": <f>, "p99": <f>}, ... },
 //     "volatile":   { "gauges": {...}, "histograms": {...} },   // opt-in
-//     "trace":      { "capacity": <n>, "recorded": <n>, "dropped": <n>,
-//                     "events": [{"t_us": <int>, "component": "...",
-//                                 "kind": "...", "key": "...",
-//                                 "detail": "..."}, ...] },     // opt-in
-//     "spans":      { "capacity": <n>, "recorded": <n>, "dropped": <n>,
-//                     "open": <n>,
-//                     "spans": [{"trace": <id>, "span": <id>,
-//                                "parent": <id>, "name": "...",
-//                                "component": "...", "key": "...",
-//                                "start_us": <int>, "end_us": <int>}, ...] },  // opt-in
 //     "profile":    { "kinds": { "<kind>": {"scheduled": <n>, "cancelled": <n>,
 //                                "fired": <n>, "smallfn_heap": <n>}, ... },
 //                     "engine": { "events_fired": <n>, "events_cancelled": <n>,
@@ -74,9 +65,7 @@
 //                                 "evict": {...}, "totals": {...} } }  // opt-in
 //   }
 //
-// The drop counts in "trace"/"spans" exist so a truncated log is never
-// silently read as complete: consumers must treat dropped > 0 as "tail
-// missing" (spans drop newest-first, so recorded traces stay consistent).
+// Spans are exported by obs/trace_export.hpp (the Perfetto dump), not here.
 //
 // Doubles are rendered with std::to_chars (shortest round-trip form), so a
 // deterministic run exports a byte-identical file.  Wall-clock instruments
@@ -92,9 +81,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
-#include "obs/span_log.hpp"
 #include "obs/timeline.hpp"
-#include "obs/trace.hpp"
 
 namespace ape::obs {
 
@@ -113,8 +100,6 @@ struct AnalyticsExportEntry {
 struct ExportOptions {
   std::map<std::string, std::string> meta;  // run identity (bench name, ...)
   bool include_volatile = false;
-  bool include_trace = false;
-  bool include_spans = false;
   // Timeline-run extensions (DESIGN.md §5g): non-null emits "timeseries" /
   // "alerts".  Default runs leave them null, so the snapshot bytes are
   // unchanged — the same gating contract as the opt-in sections above.
@@ -130,13 +115,10 @@ struct ExportOptions {
 };
 
 void write_json(std::ostream& out, const MetricsRegistry& registry,
-                const TraceLog* trace = nullptr, const ExportOptions& options = {},
-                const SpanLog* spans = nullptr);
+                const ExportOptions& options = {});
 
 [[nodiscard]] std::string to_json(const MetricsRegistry& registry,
-                                  const TraceLog* trace = nullptr,
-                                  const ExportOptions& options = {},
-                                  const SpanLog* spans = nullptr);
+                                  const ExportOptions& options = {});
 
 // Flat rows `name,kind,field,value` (kind in {counter, gauge, histogram}),
 // one line per scalar — trivially ingestible by spreadsheets / pandas.
@@ -146,8 +128,7 @@ void write_csv(std::ostream& out, const MetricsRegistry& registry,
 // Writes the JSON snapshot to `path`; returns false when the file cannot
 // be opened.
 bool write_json_file(const std::string& path, const MetricsRegistry& registry,
-                     const TraceLog* trace = nullptr, const ExportOptions& options = {},
-                     const SpanLog* spans = nullptr);
+                     const ExportOptions& options = {});
 
 // Deterministic shortest-round-trip rendering ("0.5", not "5.000000e-01");
 // NaN/Inf degrade to 0 (JSON has no representation for them).

@@ -1,11 +1,11 @@
-// Observer — the per-run observability bundle (metrics + trace) that
-// instrumented components share.
+// Observer — the per-run observability bundle (metrics + spans + timeline)
+// that instrumented components share.
 //
-// One Observer lives for one run (the Testbed owns one per system under
-// test; benches own one per binary).  Components hold a nullable
-// `obs::Observer*`: a null pointer means "not observed" and every hook
-// degrades to a branch, so un-instrumented unit tests and the hot loops of
-// uninterested callers pay nothing.
+// One Observer lives for one run (each testbed owns one; benches own one
+// per binary).  Components hold a nullable `obs::Observer*`: a null
+// pointer means "not observed" and every hook degrades to a branch, so
+// un-instrumented unit tests and the hot loops of uninterested callers pay
+// nothing.
 #pragma once
 
 #include <string>
@@ -13,16 +13,13 @@
 #include "obs/metrics.hpp"
 #include "obs/span_log.hpp"
 #include "obs/timeline.hpp"
-#include "obs/trace.hpp"
 
 namespace ape::obs {
 
 class Observer {
  public:
-  Observer() = default;
-  explicit Observer(std::size_t trace_capacity,
-                    std::size_t span_capacity = SpanLog::kDefaultCapacity)
-      : trace_(trace_capacity), spans_(span_capacity) {}
+  explicit Observer(std::size_t span_capacity = SpanLog::kDefaultCapacity)
+      : spans_(span_capacity) {}
 
   // Opt-in for wall-clock measurement (obs::WallClockTimer).  Off by
   // default: solver/host timing only runs when a bench or experiment that
@@ -33,8 +30,6 @@ class Observer {
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] TraceLog& trace() noexcept { return trace_; }
-  [[nodiscard]] const TraceLog& trace() const noexcept { return trace_; }
 
   // Causal request spans (DESIGN.md §5f).  Default-disabled: components
   // must check spans_enabled() before injecting trace context into wire
@@ -50,17 +45,11 @@ class Observer {
   [[nodiscard]] const Timeline& timeline() const noexcept { return timeline_; }
   [[nodiscard]] bool timeline_enabled() const noexcept { return timeline_.enabled(); }
 
-  // Shorthands for the two most common hooks.
+  // Shorthand for the most common hook.
   void count(const std::string& name, std::uint64_t n = 1) { metrics_.counter(name).add(n); }
-  void event(sim::Time at, std::string component, std::string kind, std::string key = "",
-             std::string detail = "") {
-    trace_.record(at, std::move(component), std::move(kind), std::move(key),
-                  std::move(detail));
-  }
 
  private:
   MetricsRegistry metrics_;
-  TraceLog trace_;
   SpanLog spans_;
   Timeline timeline_;
   bool wallclock_ = false;

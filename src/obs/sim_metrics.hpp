@@ -1,12 +1,10 @@
 // Shared simulator-engine metric block.
 //
-// Testbed::collect_metrics and FleetTestbed::collect_metrics used to carry
-// hand-copied (and subtly divergent) versions of the sim.* gauge block;
-// this helper is the single source of truth, so every testbed exports the
-// same event-loop pressure picture: fired/cancelled/compaction tallies,
-// live queue depth and high-water, the tombstone picture, plus the engine
-// internals the profiling plane added — calendar-wheel occupancy and the
-// event-arena high-water mark (DESIGN.md §5k).
+// Called from testbed::Site::collect_metrics, so every testbed shape
+// exports the same event-loop pressure picture: fired/cancelled/compaction
+// tallies, live queue depth and high-water, the tombstone picture, plus the
+// engine internals the profiling plane added — calendar-wheel occupancy and
+// the event-arena high-water mark (DESIGN.md §5k).
 //
 // All writes are idempotent set()s, so timeline ticks can call this every
 // window without inflating counters.

@@ -7,9 +7,8 @@
 
 namespace ape::store {
 
-FlashTier::FlashTier(FlashDevice& device, FlashMedia& media, FlashTierParams params,
-                     obs::Observer* observer)
-    : device_(device), media_(media), params_(params), observer_(observer) {}
+FlashTier::FlashTier(FlashDevice& device, FlashMedia& media, FlashTierParams params)
+    : device_(device), media_(media), params_(params) {}
 
 void FlashTier::journal_append(JournalRecord record) {
   device_.write_async(record.encoded_bytes());
@@ -252,7 +251,7 @@ const std::string* FlashTier::eviction_victim() const {
   return victim;
 }
 
-void FlashTier::recover(sim::Time now) {
+void FlashTier::recover() {
   entries_.clear();
   segments_.clear();
   has_active_ = false;
@@ -330,10 +329,6 @@ void FlashTier::recover(sim::Time now) {
     }
   }
   ++recoveries_;
-  if (observer_ != nullptr) {
-    observer_->event(now, "store", "journal_replay", "",
-                     std::to_string(media_.journal.record_count()) + " records");
-  }
 }
 
 void FlashTier::maybe_rewrite_journal() {

@@ -33,7 +33,6 @@
 #include <optional>
 #include <string>
 
-#include "obs/observer.hpp"
 #include "store/flash_device.hpp"
 #include "store/journal.hpp"
 
@@ -75,14 +74,12 @@ struct FlashLocation {
 
 class FlashTier {
  public:
-  // `media` outlives the tier (it is the persistent half of the AP);
-  // `observer` is nullable.
-  FlashTier(FlashDevice& device, FlashMedia& media, FlashTierParams params,
-            obs::Observer* observer = nullptr);
+  // `media` outlives the tier (it is the persistent half of the AP).
+  FlashTier(FlashDevice& device, FlashMedia& media, FlashTierParams params);
 
   // Mount-time recovery: rebuild index + segment table by replaying the
   // journal.  Charges a device read of the journal's footprint.
-  void recover(sim::Time now);
+  void recover();
 
   enum class PutOutcome { Stored, Rejected };
 
@@ -153,7 +150,6 @@ class FlashTier {
   FlashDevice& device_;
   FlashMedia& media_;
   FlashTierParams params_;
-  obs::Observer* observer_ = nullptr;
 
   // Ordered containers throughout: eviction scans, compaction moves and
   // metric exports iterate these, and iteration order must be canonical

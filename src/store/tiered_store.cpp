@@ -9,7 +9,7 @@ TieredStore::TieredStore(sim::Simulator& sim, cache::CacheStore& ram, FlashTier&
   // add_, not set_: the owning ApRuntime has already registered its own
   // accounting listener by the time the tiered store is built, and set_
   // would silently drop it.
-  ram_.add_removal_listener([this](const cache::CacheEntry& entry, cache::RemovalCause cause) {
+  ram_.add_removal_listener([this](const cache::CacheEntry& entry, RemovalCause cause) {
     on_ram_removal(entry, cause);
   });
 }
@@ -62,8 +62,8 @@ double TieredStore::flash_read_ms(const cache::CacheEntry& entry) const {
   return sim::to_millis(flash_.device().read_cost(entry.size_bytes));
 }
 
-void TieredStore::on_ram_removal(const cache::CacheEntry& entry, cache::RemovalCause cause) {
-  if (cause != cache::RemovalCause::Evicted) return;
+void TieredStore::on_ram_removal(const cache::CacheEntry& entry, RemovalCause cause) {
+  if (cause != RemovalCause::Evicted) return;
   const sim::Time now = sim_.now();
   if (entry.expired_at(now)) return;  // stale victims are just dropped
   // Demotion only pays off when a flash read beats refetching upstream.

@@ -74,7 +74,7 @@ class TieredStore {
   [[nodiscard]] std::size_t flash_misses() const noexcept { return flash_misses_; }
 
  private:
-  void on_ram_removal(const cache::CacheEntry& entry, cache::RemovalCause cause);
+  void on_ram_removal(const cache::CacheEntry& entry, RemovalCause cause);
   [[nodiscard]] obs::SpanLog* spans() const {
     return observer_ == nullptr ? nullptr : &observer_->spans();
   }

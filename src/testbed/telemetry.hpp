@@ -53,7 +53,7 @@ struct TelemetryReport {
 [[nodiscard]] Result<TelemetryReport> decode_telemetry_report(const std::string& text);
 
 // AP-side scrape endpoint.  Owns no windows — it reads the run Observer's
-// Timeline, which the Testbed capture tick fills through the delta cursor.
+// Timeline, which the site's capture tick fills through the delta cursor.
 class TelemetryAgent {
   APE_SHARD_CONTEXT(ap);
 

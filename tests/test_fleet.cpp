@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 
 #include "core/url_hash.hpp"
 #include "fleet/fleet_testbed.hpp"
 #include "obs/export.hpp"
+#include "testbed/testbed.hpp"
 #include "workload/app_model.hpp"
 
 namespace ape::fleet {
@@ -84,6 +86,33 @@ std::uint64_t counter(FleetTestbed& bed, const std::string& name) {
 }
 
 // ------------------------------------------------------------------ wiring
+
+// Registry names under the site's prefixes: the simulator, DNS hierarchy
+// and edge server that Site::collect_metrics() reports.
+std::set<std::string> site_level_keys(const obs::MetricsRegistry& m) {
+  std::set<std::string> keys;
+  const auto take = [&keys](const std::string& name) {
+    for (const char* prefix : {"sim.", "dns.", "edge."}) {
+      if (name.rfind(prefix, 0) == 0) keys.insert(name);
+    }
+  };
+  for (const auto& entry : m.counters()) take(entry.first);
+  for (const auto& entry : m.gauges()) take(entry.first);
+  for (const auto& entry : m.histograms()) take(entry.first);
+  return keys;
+}
+
+TEST(FleetWiring, SiteLevelKeysMatchTheSingleApTestbed) {
+  testbed::Testbed single(testbed::TestbedParams{});
+  single.collect_metrics();
+  FleetTestbed fleet(FleetParams{});
+  fleet.collect_metrics();
+
+  const auto keys = site_level_keys(single.observer().metrics());
+  EXPECT_TRUE(keys.contains("dns.ldns.cache_size"));
+  EXPECT_TRUE(keys.contains("edge.requests"));
+  EXPECT_EQ(site_level_keys(fleet.observer().metrics()), keys);
+}
 
 TEST(FleetWiring, BuildsApsShardsAndDirectoryAttachments) {
   FleetParams params;
@@ -402,7 +431,8 @@ TEST(FleetSlo, StaleRedirectAlertFiresInStalenessScenario) {
   params.enable_timeline = true;
   params.timeline_interval = sim::milliseconds(300);
   // The condition that should HOLD: no stale redirects in a window.
-  params.slo_rules = {"stale-redirects: dir.stale_redirects <= 0 over 1 windows"};
+  params.slo_rules = {
+      obs::parse_slo_rule("stale-redirects: dir.stale_redirects <= 0 over 1 windows").value()};
   FleetTestbed bed(params);
   const auto app = two_object_app();
   bed.host_app(app);

@@ -255,15 +255,15 @@ TEST(CacheAnalytics, LedgerCountsPerCauseAndDeadOnArrival) {
 
   // Two capacity evictions (one never re-accessed = DOA), one expiry, one
   // replacement.
-  plane.on_removal("a", 1000, "100", AnalyticsRemovalCause::Capacity, 0, t0, t0, t1);
-  plane.on_removal("b", 2000, "100", AnalyticsRemovalCause::Capacity, 3, t0, t1, t2);
-  plane.on_removal("c", 3000, "101", AnalyticsRemovalCause::Expired, 1, t0, t1, t2);
-  plane.on_removal("d", 4000, "101", AnalyticsRemovalCause::Replaced, 2, t1, t1, t2);
+  plane.on_removal("a", 1000, "100", RemovalCause::Evicted, 0, t0, t0, t1);
+  plane.on_removal("b", 2000, "100", RemovalCause::Evicted, 3, t0, t1, t2);
+  plane.on_removal("c", 3000, "101", RemovalCause::Expired, 1, t0, t1, t2);
+  plane.on_removal("d", 4000, "101", RemovalCause::Replaced, 2, t1, t1, t2);
 
-  EXPECT_EQ(plane.removals(AnalyticsRemovalCause::Capacity), 2u);
-  EXPECT_EQ(plane.removals(AnalyticsRemovalCause::Expired), 1u);
-  EXPECT_EQ(plane.removals(AnalyticsRemovalCause::Replaced), 1u);
-  EXPECT_EQ(plane.removals(AnalyticsRemovalCause::Invalidated), 0u);
+  EXPECT_EQ(plane.removals(RemovalCause::Evicted), 2u);
+  EXPECT_EQ(plane.removals(RemovalCause::Expired), 1u);
+  EXPECT_EQ(plane.removals(RemovalCause::Replaced), 1u);
+  EXPECT_EQ(plane.removals(RemovalCause::Erased), 0u);
   EXPECT_EQ(plane.dead_on_arrival(), 1u);
   EXPECT_DOUBLE_EQ(plane.dead_on_arrival_ratio(), 0.5);
   EXPECT_EQ(plane.lifetime_ms().count(), 4u);
@@ -313,8 +313,8 @@ TEST(CacheAnalytics, RemovalListenerMayInsertDuringEviction) {
 
   int reentries = 0;
   store.add_removal_listener(
-      [&store, &reentries, now](const cache::CacheEntry& entry, cache::RemovalCause cause) {
-        if (cause != cache::RemovalCause::Evicted || reentries >= 1) return;
+      [&store, &reentries, now](const cache::CacheEntry& entry, RemovalCause cause) {
+        if (cause != RemovalCause::Evicted || reentries >= 1) return;
         ++reentries;
         cache::CacheEntry side;
         side.key = "side-" + entry.key;
@@ -369,7 +369,7 @@ TEST(CacheAnalytics, ExportEmitsMrcSectionWithRollup) {
   MetricsRegistry m;
   ExportOptions options;
   options.mrc = &entries;
-  const std::string json = to_json(m, nullptr, options);
+  const std::string json = to_json(m, options);
 
   EXPECT_NE(json.find("\"mrc\":{\"aps\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"ap0\""), std::string::npos);
@@ -382,7 +382,7 @@ TEST(CacheAnalytics, ExportEmitsMrcSectionWithRollup) {
             std::string::npos);
 
   // Without the option the section must not exist at all.
-  EXPECT_EQ(to_json(m, nullptr, {}).find("\"mrc\""), std::string::npos);
+  EXPECT_EQ(to_json(m).find("\"mrc\""), std::string::npos);
 }
 
 // ------------------------------------------------- testbed integration
@@ -455,7 +455,7 @@ TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   const auto result = testbed::run_workload(bed, apps, short_config());
 
   EXPECT_EQ(bed.analytics(), nullptr);
-  const std::string json = to_json(result.metrics, nullptr, {});
+  const std::string json = to_json(result.metrics);
   // The gate: a default run's snapshot carries no analytics keys, so the
   // four committed baselines cannot move when the plane changes.
   EXPECT_EQ(json.find("cache.evict."), std::string::npos);
@@ -468,7 +468,7 @@ TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   testbed::Testbed on_bed(on_params);
   for (const auto& app : apps) on_bed.host_app(app);
   const auto on = testbed::run_workload(on_bed, apps, short_config());
-  const std::string on_json = to_json(on.metrics, nullptr, {});
+  const std::string on_json = to_json(on.metrics);
   EXPECT_NE(on_json.find("ap.cache.evict.capacity"), std::string::npos);
   EXPECT_NE(on_json.find("ap.cache.mrc.oracle.sampled"), std::string::npos);
 }

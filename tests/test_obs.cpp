@@ -8,7 +8,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
-#include "obs/trace.hpp"
 #include "testbed/experiment.hpp"
 #include "workload/app_generator.hpp"
 
@@ -92,57 +91,6 @@ TEST(MetricsRegistry, VolatileInstrumentsKeepTheirTag) {
   EXPECT_EQ(registry.gauges().at("stable").volatility, obs::Volatility::Stable);
 }
 
-// --- TraceLog -------------------------------------------------------------
-
-TEST(TraceLog, RecordsInOrderBelowCapacity) {
-  obs::TraceLog log(8);
-  log.record(sim::Time{sim::seconds(1.0)}, "ap", "hit", "k1");
-  log.record(sim::Time{sim::seconds(2.0)}, "pacm", "solve", "k2", "exact");
-  const auto events = log.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].component, "ap");
-  EXPECT_EQ(events[0].kind, "hit");
-  EXPECT_EQ(events[1].key, "k2");
-  EXPECT_EQ(events[1].detail, "exact");
-  EXPECT_EQ(log.dropped(), 0u);
-}
-
-TEST(TraceLog, RingBoundsMemoryAndCountsDropped) {
-  obs::TraceLog log(4);
-  for (int i = 0; i < 10; ++i) {
-    log.record(sim::Time{sim::seconds(static_cast<double>(i))}, "c",
-               "k" + std::to_string(i));
-  }
-  EXPECT_EQ(log.capacity(), 4u);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.recorded(), 10u);
-  EXPECT_EQ(log.dropped(), 6u);
-  // Oldest -> newest, holding the last four records.
-  const auto events = log.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().kind, "k6");
-  EXPECT_EQ(events.back().kind, "k9");
-}
-
-TEST(TraceLog, DisabledLogDropsSilently) {
-  obs::TraceLog log(4);
-  log.set_enabled(false);
-  log.record(sim::Time{}, "c", "k");
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.recorded(), 0u);
-}
-
-TEST(TraceLog, ClearResetsEverything) {
-  obs::TraceLog log(2);
-  log.record(sim::Time{}, "c", "a");
-  log.record(sim::Time{}, "c", "b");
-  log.record(sim::Time{}, "c", "c");
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.recorded(), 0u);
-  EXPECT_TRUE(log.snapshot().empty());
-}
-
 // --- Export ---------------------------------------------------------------
 
 TEST(ObsExport, FormatDoubleIsShortestRoundTrip) {
@@ -170,7 +118,7 @@ TEST(ObsExport, JsonContainsSchemaAndAllSections) {
 
   obs::ExportOptions options;
   options.meta["bench"] = "unit";
-  const std::string json = obs::to_json(registry, nullptr, options);
+  const std::string json = obs::to_json(registry, options);
   EXPECT_NE(json.find("\"schema\":\"ape.obs.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"meta\":{\"bench\":\"unit\"}"), std::string::npos);
   EXPECT_NE(json.find("\"hits\":3"), std::string::npos);
@@ -190,22 +138,9 @@ TEST(ObsExport, VolatileSectionOnlyOnRequest) {
 
   obs::ExportOptions options;
   options.include_volatile = true;
-  const std::string with_volatile = obs::to_json(registry, nullptr, options);
+  const std::string with_volatile = obs::to_json(registry, options);
   EXPECT_NE(with_volatile.find("\"volatile\""), std::string::npos);
   EXPECT_NE(with_volatile.find("wall_us"), std::string::npos);
-}
-
-TEST(ObsExport, TraceSectionEmitsSimTimeMicros) {
-  obs::MetricsRegistry registry;
-  obs::TraceLog log(8);
-  log.record(sim::Time{sim::seconds(1.5)}, "ap", "hit", "obj", "d");
-
-  obs::ExportOptions options;
-  options.include_trace = true;
-  const std::string json = obs::to_json(registry, &log, options);
-  EXPECT_NE(json.find("\"trace\""), std::string::npos);
-  EXPECT_NE(json.find("\"t_us\":1500000"), std::string::npos);
-  EXPECT_NE(json.find("\"component\":\"ap\""), std::string::npos);
 }
 
 TEST(ObsExport, CsvEmitsOneRowPerScalar) {
@@ -222,12 +157,10 @@ TEST(ObsExport, CsvEmitsOneRowPerScalar) {
 // --- Observer + determinism end-to-end ------------------------------------
 
 TEST(Observer, CountAndEventHelpers) {
-  obs::Observer observer(16);
+  obs::Observer observer;
   observer.count("x", 2);
   observer.count("x");
-  observer.event(sim::Time{sim::seconds(1.0)}, "ap", "admit", "k");
   EXPECT_EQ(observer.metrics().counter("x").value(), 3u);
-  EXPECT_EQ(observer.trace().size(), 1u);
 }
 
 namespace {

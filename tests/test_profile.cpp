@@ -235,13 +235,13 @@ TEST(ProfileExport, SectionAppearsOnlyWhenRequested) {
 
   obs::MetricsRegistry m;
   std::ostringstream without;
-  obs::write_json(without, m, nullptr, {});
+  obs::write_json(without, m);
   EXPECT_EQ(without.str().find("\"profile\""), std::string::npos);
 
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream with;
-  obs::write_json(with, m, nullptr, options);
+  obs::write_json(with, m, options);
   const std::string text = with.str();
   EXPECT_NE(text.find("\"profile\""), std::string::npos);
   EXPECT_NE(text.find("\"test.export.kind\":{\"scheduled\":1"), std::string::npos);
@@ -261,7 +261,7 @@ TEST(ProfileExport, WallclockSubsectionFollowsTheGate) {
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream out;
-  obs::write_json(out, m, nullptr, options);
+  obs::write_json(out, m, options);
   EXPECT_NE(out.str().find("\"wallclock\":{\"enabled\":true"), std::string::npos);
 }
 
@@ -279,7 +279,7 @@ TEST(ProfileExport, NetSectionAppearsWhenFed) {
   obs::ExportOptions options;
   options.profile = &profiler;
   std::ostringstream out;
-  obs::write_json(out, m, nullptr, options);
+  obs::write_json(out, m, options);
   EXPECT_NE(out.str().find("\"net\":{\"datagrams_sent\":7"), std::string::npos);
 }
 

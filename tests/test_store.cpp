@@ -236,7 +236,7 @@ TEST_F(RecoveryFixture, ReplayReproducesExactPreCrashState) {
   FlashDevice device2(sim, FlashDeviceParams{});
   FlashTier recovered(device2, media, params);
   ASSERT_TRUE(media.formatted());
-  recovered.recover(at_sec(2));
+  recovered.recover();
 
   EXPECT_EQ(recovered.recoveries(), 1u);
   EXPECT_EQ(recovered.index(), index_before);
@@ -251,8 +251,8 @@ TEST_F(RecoveryFixture, TwoReplaysOfOneJournalAreIdentical) {
 
   FlashDevice da(sim, FlashDeviceParams{}), db(sim, FlashDeviceParams{});
   FlashTier ra(da, media, params), rb(db, media, params);
-  ra.recover(at_sec(2));
-  rb.recover(at_sec(2));
+  ra.recover();
+  rb.recover();
 
   EXPECT_EQ(ra.index(), rb.index());
   EXPECT_EQ(ra.segments(), rb.segments());
@@ -267,7 +267,7 @@ TEST_F(RecoveryFixture, RecoveredTierKeepsAbsorbingWrites) {
 
   FlashDevice device2(sim, FlashDeviceParams{});
   FlashTier recovered(device2, media, params);
-  recovered.recover(at_sec(2));
+  recovered.recover();
   ASSERT_EQ(recovered.entry_count(), count_before);
 
   // The unsealed segment was re-adopted as active: new puts append to it
@@ -294,7 +294,7 @@ TEST_F(TierFixture, JournalCheckpointBoundsReplayCost) {
   // The compacted journal still replays to the same state.
   FlashDevice device2(sim, FlashDeviceParams{});
   FlashTier recovered(device2, media, params);
-  recovered.recover(at_sec(1));
+  recovered.recover();
   EXPECT_EQ(recovered.index(), tier->index());
   EXPECT_EQ(recovered.segments(), tier->segments());
 }

@@ -3,6 +3,9 @@
 // and the experiment harness.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
 #include "testbed/experiment.hpp"
 #include "workload/real_apps.hpp"
 
@@ -20,7 +23,7 @@ TEST(TestbedWiring, CalibratedPathsMatchFig9) {
   const auto edge_node = *bed.network().owner_of(bed.edge_ip());
   const auto edge_path = topo.path(ap, edge_node);
   ASSERT_TRUE(edge_path.has_value());
-  EXPECT_EQ(edge_path->hops, params.edge_hops);
+  EXPECT_EQ(edge_path->hops, kEdgeHops);
   EXPECT_NEAR(sim::to_millis(edge_path->rtt()), 15.0, 1.0);  // ~2x7.5 ms
 
   // Clients sit one WiFi hop from the AP.
@@ -50,10 +53,36 @@ TEST(TestbedWiring, HostAppPublishesDomain) {
 
 TEST(TestbedWiring, ClientsGetDistinctAddressesAndPorts) {
   Testbed bed(TestbedParams{});
-  auto& a = bed.add_client("a");
-  auto& b = bed.add_client("b");
-  EXPECT_NE(a.node, b.node);
-  EXPECT_NE(bed.network().ip_of(a.node), bed.network().ip_of(b.node));
+  const auto app = workload::make_movie_trailer();
+  bed.host_app(app);
+
+  // More clients than a /24 holds: every one gets its own node and an
+  // address of its own, never the AP's.
+  constexpr std::size_t kClients = 300;
+  std::set<std::uint32_t> nodes;
+  std::set<std::uint32_t> addresses;
+  Testbed::Client* last = nullptr;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    last = &bed.add_client("c" + std::to_string(i));
+    const auto ip = bed.network().ip_of(last->node);
+    ASSERT_TRUE(ip.has_value());
+    EXPECT_NE(*ip, bed.ap_ip()) << "client " << i;
+    nodes.insert(last->node.value);
+    addresses.insert(ip->v4);
+  }
+  EXPECT_EQ(nodes.size(), kClients);
+  EXPECT_EQ(addresses.size(), kClients);
+
+  // The last client is reachable: its fetch completes.
+  for (const auto& spec : app.cacheables()) last->runtime->register_cacheable(spec);
+  std::optional<core::ClientRuntime::FetchResult> result;
+  last->fetcher->fetch_object(app.requests[0].url,
+                              [&result](core::ClientRuntime::FetchResult r) {
+                                result = std::move(r);
+                              });
+  bed.simulator().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->success);
 }
 
 TEST(TestbedWiring, WiCacheComponentsOnlyForWiCacheSystem) {

@@ -343,8 +343,8 @@ TEST(TimelineRun, ScrapePathShipsWindowsAndReconciles) {
   TestbedParams params;
   params.enable_timeline = true;
   params.timeline_interval = sim::seconds(30.0);
-  params.telemetry_scrape_interval = sim::seconds(60.0);
-  params.slo_rules = {"warm: ap.cache.hit_ratio >= 0.99 over 2 windows"};
+  params.slo_rules = {
+      obs::parse_slo_rule("warm: ap.cache.hit_ratio >= 0.99 over 2 windows").value()};
 
   Testbed bed(params);
   std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
