@@ -58,9 +58,9 @@ class BenchReporter {
   [[nodiscard]] const std::string& trace_path() const noexcept { return trace_path_; }
 
   // Timeline snapshot destination (`--timeline-out <path>`); empty when the
-  // bench should not run its windowed-telemetry flavour.  Like tracing, the
-  // in-sim scrape path changes wire traffic, so timeline runs must stay
-  // separate from the `--json` snapshot runs.
+  // bench should not run its windowed-telemetry flavour.  The capture ticks
+  // are simulator events that move the sim.* counters, so timeline runs
+  // must stay separate from the `--json` snapshot runs.
   [[nodiscard]] const std::string& timeline_path() const noexcept { return timeline_path_; }
 
   void gauge(const std::string& name, double value) { registry_.gauge(name).set(value); }

@@ -11,11 +11,9 @@
 //     MrcProfiler, comparing a fixed-rate 1% sampler and an adaptive
 //     s_max-bounded sampler against the oracle at ~100x less bookkeeping.
 //     Same error gate.
-//   * `--mrc-out <path>` — one extra run with the timeline on, so the
-//     analytics appendix rides the telemetry scrape replies (AP CPU + wire
-//     cost), exported as an ape.obs.v1 snapshot with the "mrc" section for
-//     tools/mrc_report.py.  Separate from the `--json` snapshot runs: the
-//     scrape traffic changes wire bytes.
+//   * `--mrc-out <path>` — one extra analytics run, exported as an
+//     ape.obs.v1 snapshot with the "mrc" section for tools/mrc_report.py.
+//     It writes its own file and never feeds the `--json` snapshot.
 //
 // The `--json` snapshot is committed as bench/baselines/mrc.json and diffed
 // at zero tolerance by scripts/check_bench_regression.py.
@@ -108,7 +106,6 @@ testbed::TestbedParams analytics_params() {
 int run_smoke(bench::BenchReporter& reporter, const std::vector<workload::AppSpec>& apps,
               const testbed::WorkloadConfig& config) {
   testbed::Testbed bed(analytics_params());
-  for (const auto& app : apps) bed.host_app(app);
   const auto result = testbed::run_workload(bed, apps, config);
 
   const obs::CacheAnalytics& analytics = *bed.analytics();
@@ -250,17 +247,11 @@ int run_synthetic(bench::BenchReporter& reporter, const SyntheticSpec& spec) {
 
 // ------------------------------------------------------ --mrc-out flavour
 
-// Timeline-enabled run: the analytics appendix rides every telemetry scrape
-// reply, so its serialization cost lands on the AP's ServiceQueue and its
-// bytes on the simulated WAN — then the full snapshot (with the "mrc"
-// section) goes to `path` for tools/mrc_report.py.
+// Analytics run whose full snapshot (with the "mrc" section) goes to
+// `path` for tools/mrc_report.py.
 int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& apps,
                 const testbed::WorkloadConfig& config) {
-  testbed::TestbedParams params = analytics_params();
-  params.enable_timeline = true;
-  params.timeline_interval = sim::seconds(30.0);
-  testbed::Testbed bed(params);
-  for (const auto& app : apps) bed.host_app(app);
+  testbed::Testbed bed(analytics_params());
   (void)testbed::run_workload(bed, apps, config);
 
   const cache::CacheStatistics& stats = bed.ap().lookup_stats();
@@ -268,7 +259,7 @@ int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& a
       stats.hits(), stats.misses() - stats.delegations(), stats.delegations());
   if (!issues.empty()) {
     for (const auto& issue : issues) {
-      std::fprintf(stderr, "attribution failed to reconcile (timeline run): %s\n",
+      std::fprintf(stderr, "attribution failed to reconcile (--mrc-out run): %s\n",
                    issue.c_str());
     }
     return 1;

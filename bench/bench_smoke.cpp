@@ -24,7 +24,6 @@ int run_traced(const std::string& trace_path, const std::vector<workload::AppSpe
   params.enable_spans = true;
   params.span_capacity = 1 << 20;  // hold the full workload; drops would be a bug here
   testbed::Testbed bed(params);
-  for (const auto& app : apps) bed.host_app(app);
   (void)testbed::run_workload(bed, apps, config);
 
   const auto& spans = bed.observer().spans().spans();
@@ -87,13 +86,12 @@ int run_traced(const std::string& trace_path, const std::vector<workload::AppSpe
 }
 
 // Timeline flavour (`--timeline-out <path>`): one extra APE-CACHE run with
-// windowed telemetry on — capture ticks every 30 s, the controller scraping
-// the AP over the simulated WAN every 60 s, and two SLO rules watching the
-// stream.  The run gates on Timeline::reconcile: every counter's window
-// deltas must sum *exactly* to its end-of-run snapshot total (the windows
-// partition the run), else the bench exits non-zero.  Like tracing, the
-// scrape traffic is real simulated wire bytes, so this run never feeds the
-// `--json` snapshot.
+// windowed telemetry on — capture ticks every 30 s, each window fed to the
+// testbed's SLO evaluator, which watches two rules.  The run gates on
+// Timeline::reconcile: every counter's window deltas must sum *exactly* to
+// its end-of-run snapshot total (the windows partition the run), else the
+// bench exits non-zero.  The ticks add simulator events, so this run never
+// feeds the `--json` snapshot.
 int run_timeline(const std::string& timeline_path, const std::vector<workload::AppSpec>& apps,
                  const testbed::WorkloadConfig& config) {
   testbed::TestbedParams params;
@@ -108,7 +106,6 @@ int run_timeline(const std::string& timeline_path, const std::vector<workload::A
           .value(),
   };
   testbed::Testbed bed(params);
-  for (const auto& app : apps) bed.host_app(app);
   (void)testbed::run_workload(bed, apps, config);
 
   const auto& timeline = bed.observer().timeline();
@@ -120,13 +117,11 @@ int run_timeline(const std::string& timeline_path, const std::vector<workload::A
     return 1;
   }
 
-  const auto* collector = bed.telemetry_collector();
-  const auto& slo = collector->slo();
+  const auto& slo = bed.slo();
   std::printf(
       "Timeline run: %zu windows, all deltas reconcile exactly; "
-      "%zu scrapes shipped %zu windows; alerts fired=%zu resolved=%zu\n",
-      timeline.windows().size(), collector->scrapes_sent(), collector->windows().size(),
-      slo.fired(), slo.resolved());
+      "alerts fired=%zu resolved=%zu\n",
+      timeline.windows().size(), slo.fired(), slo.resolved());
   for (const auto& t : slo.transitions()) {
     std::printf("  window %llu: %s %s -> %s (value %s)\n",
                 static_cast<unsigned long long>(t.window), t.rule.c_str(),

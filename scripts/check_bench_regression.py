@@ -30,7 +30,7 @@ import sys
 SCHEMA = "ape.obs.v1"
 
 # Metric families that gate CI (matched against the flattened name).
-DEFAULT_WATCH = (r"(hit_ratio|recovery_ratio|p50|p99|events_fired|alerts_fired|telemetry"
+DEFAULT_WATCH = (r"(hit_ratio|recovery_ratio|p50|p99|events_fired"
                  r"|events_per_sec|order_digest|serves\.|stale_redirects|epoch_replays"
                  r"|mrc_max_err|evict\.)")
 
@@ -73,6 +73,17 @@ def load(path: str) -> dict:
         sys.exit(f"error: {path}: expected schema {SCHEMA!r}, "
                  f"got {snapshot.get('schema')!r}")
     return snapshot
+
+
+def refresh_command(baseline_path: str, snapshot: dict) -> str:
+    """The command that rewrites `baseline_path`, named from its meta.bench:
+    "mrc" -> bench_mrc --json, "bench_engine.profile" -> bench_engine
+    --profile-out."""
+    bench, _, flavour = str(snapshot.get("meta", {}).get("bench", "smoke")).partition(".")
+    if not bench.startswith("bench_"):
+        bench = f"bench_{bench}"
+    flag = f"--{flavour}-out" if flavour else "--json"
+    return f"build/bench/{bench} {flag} {baseline_path}"
 
 
 def relative_drift(baseline: float, current: float) -> float:
@@ -133,7 +144,8 @@ def main() -> int:
     # --list-watched always surfaces the volatile section too: the watch
     # set is documentation of what the gate *could* compare, and the
     # engine-perf lane's headline metric (events_per_sec) lives there.
-    base = flatten(load(args.baseline), args.include_volatile or args.list_watched)
+    baseline = load(args.baseline)
+    base = flatten(baseline, args.include_volatile or args.list_watched)
     watch = re.compile(effective_watch)
 
     watched = sorted(n for n in base if args.all or watch.search(n))
@@ -205,7 +217,7 @@ def main() -> int:
             f.write("\n")
     if failures:
         print("regressions detected — if intentional, refresh the baseline with:")
-        print(f"  build/bench/bench_smoke --json {args.baseline}")
+        print(f"  {refresh_command(args.baseline, baseline)}")
         return 1
     return 0
 

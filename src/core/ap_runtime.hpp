@@ -267,11 +267,12 @@ class ApRuntime {
   // Hot-path instruments: handles bound once at construction (no-ops when
   // unobserved), so the per-request DNS/HTTP paths never repeat a by-name
   // map lookup.  Snapshot-time gauges still go through observer_ by name.
-  // The observer and the instruments it hands out are scrape-side shared
-  // state; the parallel-shard design owes them a synchronization story.
+  // The observer and the instruments it hands out are shared with the
+  // harness, which reads them at snapshot and capture time; the
+  // parallel-shard design owes them a synchronization story.
   APE_SHARD_SHARED obs::Observer* observer_ = nullptr;
-  // Analytics plane — scrape-side shared state like the observer: the AP
-  // feeds it from the request path, the telemetry agent reads it at scrape.
+  // Analytics plane — shared state like the observer: the AP feeds it from
+  // the request path, the harness reads it at snapshot and export time.
   APE_SHARD_SHARED obs::CacheAnalytics* analytics_ = nullptr;
   APE_SHARD_SHARED obs::Counter* hit_counter_ = nullptr;
   APE_SHARD_SHARED obs::Counter* miss_counter_ = nullptr;

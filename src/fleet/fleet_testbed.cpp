@@ -13,7 +13,6 @@ FleetTestbed::FleetTestbed(FleetParams params)
   // RETRACT must mean "copy gone"; a flash tier keeps serving demoted
   // copies, so the fleet runs RAM-only APs (see DirectoryClient::attach).
   params_.ape.flash_capacity_bytes = 0;
-  for (const obs::SloRule& rule : params_.slo_rules) slo_.add_rule(rule);
 
   aps_.resize(params_.ap_count);
   for (std::size_t i = 0; i < aps_.size(); ++i) {
@@ -166,13 +165,6 @@ void FleetTestbed::collect_metrics() {
                                                           ? shards_[j].service->key_count()
                                                           : 0));
     m.gauge(prefix + ".epoch").set(static_cast<double>(shards_[j].epoch));
-  }
-}
-
-void FleetTestbed::on_window_captured() {
-  const auto& windows = observer().timeline().windows();
-  for (; slo_windows_seen_ < windows.size(); ++slo_windows_seen_) {
-    slo_.observe(windows[slo_windows_seen_]);
   }
 }
 

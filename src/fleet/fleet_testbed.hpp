@@ -23,7 +23,6 @@
 #include "common/shard.hpp"
 #include "core/ap_runtime.hpp"
 #include "fleet/directory.hpp"
-#include "obs/slo.hpp"
 #include "testbed/site.hpp"
 
 namespace ape::fleet {
@@ -89,8 +88,6 @@ class FleetTestbed : public testbed::Site {
   }
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] DirectoryShard& shard(std::size_t i) noexcept { return *shards_[i].service; }
-  // Fed every captured timeline window (enable_timeline runs only).
-  [[nodiscard]] obs::SloEvaluator& slo() noexcept { return slo_; }
 
   // The site's metrics plus per-AP fleet.ap<i>.* gauges and per-shard
   // dir.shard<i>.* gauges.  Does NOT call ApRuntime::snapshot_metrics —
@@ -118,15 +115,11 @@ class FleetTestbed : public testbed::Site {
 
   void build_aps();
   void build_directory();
-  void on_window_captured() override;
 
   APE_SHARD_LOCAL(controller) FleetParams params_;
   APE_SHARD_LOCAL(controller) std::vector<ApSlot> aps_;
   APE_SHARD_LOCAL(controller) std::vector<ShardSlot> shards_;
   APE_SHARD_LOCAL(controller) std::vector<std::unique_ptr<Client>> clients_;
-
-  APE_SHARD_LOCAL(controller) obs::SloEvaluator slo_;
-  APE_SHARD_LOCAL(controller) std::size_t slo_windows_seen_ = 0;
 };
 
 }  // namespace ape::fleet

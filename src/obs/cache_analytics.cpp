@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/export.hpp"
-
 namespace ape::obs {
 
 namespace {
@@ -118,35 +116,6 @@ void CacheAnalytics::record_metrics(MetricsRegistry& metrics, const std::string&
     metrics.counter(base + "accesses").set(p.accesses());
     metrics.gauge(base + "rate").set(p.current_rate());
   }
-}
-
-std::string CacheAnalytics::encode_report() const {
-  // Line-oriented, deterministic (ordered maps only).  Consumed for its
-  // byte count by the telemetry appendix; shape kept greppable for tests.
-  std::string out = "ANALYTICS v1\n";
-  out += "EVICT";
-  for (std::size_t i = 0; i < kRemovalCauseCount; ++i) {
-    out += ' ';
-    out += kCauseNames[i];
-    out += '=' + std::to_string(cause_counts_[i]);
-  }
-  out += " doa=" + std::to_string(dead_on_arrival_) + "\n";
-  for (const auto& [app, tally] : app_tallies_) {
-    out += "APP " + app + " " + std::to_string(tally.hits) + " " + std::to_string(tally.misses) +
-           " " + std::to_string(tally.delegations) + "\n";
-  }
-  for (const MrcProfiler& p : profilers_) {
-    const std::vector<MrcPoint> points = p.curve();
-    out += "MRC " + p.config().label + " rate=" + format_double(p.current_rate()) +
-           " sampled=" + std::to_string(p.sampled()) +
-           " points=" + std::to_string(points.size()) + "\n";
-    for (const MrcPoint& point : points) {
-      out += "P " + std::to_string(point.capacity_bytes) + " " +
-             format_double(point.miss_ratio) + "\n";
-    }
-  }
-  out += "END-ANALYTICS\n";
-  return out;
 }
 
 }  // namespace ape::obs

@@ -77,11 +77,6 @@ class CacheAnalytics {
   // only).  Called from ApRuntime::snapshot_metrics when the plane is on.
   void record_metrics(MetricsRegistry& metrics, const std::string& prefix) const;
 
-  // Deterministic textual report — appended to the telemetry scrape reply
-  // so serialization cost is charged on the AP's ServiceQueue (PR 5's
-  // contract: observability work the AP does is work the AP pays for).
-  [[nodiscard]] std::string encode_report() const;
-
   [[nodiscard]] const std::vector<MrcProfiler>& profilers() const noexcept { return profilers_; }
   [[nodiscard]] const std::map<std::string, AppTally>& apps() const noexcept { return app_tallies_; }
   [[nodiscard]] std::uint64_t removals(RemovalCause cause) const noexcept {

@@ -39,8 +39,8 @@ class Observer {
   [[nodiscard]] bool spans_enabled() const noexcept { return spans_.enabled(); }
 
   // Windowed time-series telemetry (DESIGN.md §5g).  Default-disabled:
-  // nothing captures windows or scrapes them over the simulated network
-  // unless a run opts in, so default runs stay byte-identical.
+  // nothing captures windows unless a run opts in, so default runs stay
+  // byte-identical.
   [[nodiscard]] Timeline& timeline() noexcept { return timeline_; }
   [[nodiscard]] const Timeline& timeline() const noexcept { return timeline_; }
   [[nodiscard]] bool timeline_enabled() const noexcept { return timeline_.enabled(); }

@@ -83,7 +83,7 @@ class SloEvaluator {
   void add_rule(SloRule rule);
 
   // Evaluates every rule against one window.  Windows must be fed in
-  // increasing index order (the scrape path's window stream already is).
+  // increasing index order (testbed::Site feeds each one as it captures it).
   void observe(const TimelineWindow& window);
 
   [[nodiscard]] std::size_t rule_count() const noexcept { return rules_.size(); }

@@ -19,6 +19,7 @@ Site::Site(const SiteParams& params, const std::string& uplink_name, net::IpAddr
     obs_.timeline().set_enabled(true);
     obs_.timeline().set_interval(params.timeline_interval);
   }
+  for (const obs::SloRule& rule : params.slo_rules) slo_.add_rule(rule);
 
   uplink_ = topology_.add_node(uplink_name);
   edge_node_ = topology_.add_node("edge");
@@ -71,8 +72,9 @@ Site::~Site() {
   if (timeline_tick_ != 0) sim_.cancel(timeline_tick_);
 }
 
-void Site::host_app(const workload::AppSpec& app) {
+bool Site::host_app(const workload::AppSpec& app) {
   assert(app.valid());
+  if (!hosted_domains_.insert(app.domain).second) return false;
   for (auto& object : app.objects()) {
     // The edge hosts every object with its backend ("retrieval") latency;
     // warm client-facing hits skip it, cache-fill origin pulls pay it —
@@ -90,6 +92,7 @@ void Site::host_app(const workload::AppSpec& app) {
 
   // LDNS learns where the app's zone is served.
   ldns_->add_delegation(domain, net::Endpoint{adns_ip_, net::kDnsPort});
+  return true;
 }
 
 void Site::attach_client(Client& client, const std::string& name, net::NodeId ap,
@@ -164,8 +167,9 @@ void Site::flush_timeline() {
 
 void Site::capture_window() {
   collect_metrics();
-  obs_.timeline().capture(obs_.metrics(), sim_.now());
-  on_window_captured();
+  if (const obs::TimelineWindow* window = obs_.timeline().capture(obs_.metrics(), sim_.now())) {
+    slo_.observe(*window);
+  }
 }
 
 }  // namespace ape::testbed

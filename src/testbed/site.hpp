@@ -6,14 +6,16 @@
 // A Site owns the simulator, the run Observer, the topology/network/TCP
 // stack, the uplink node every AP reaches the WAN through, the edge server
 // and the DNS hierarchy, and what runs over them: app hosting, client
-// attachment, the site half of collect_metrics() and the timeline capture
-// tick.  testbed::Testbed is a site whose uplink is its one AP;
+// attachment, the site half of collect_metrics(), the timeline capture
+// tick and the SLO evaluator every captured window feeds.
+// testbed::Testbed is a site whose uplink is its one AP;
 // fleet::FleetTestbed is a site whose uplink is the LAN switch in front of
 // N APs and the directory shards.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -65,19 +67,19 @@ struct SiteParams {
   std::size_t span_capacity = obs::SpanLog::kDefaultCapacity;
 
   // Windowed time-series telemetry (DESIGN.md §5g).  Off by default:
-  // enabling it schedules capture ticks (and, on the single-AP testbed,
-  // scrape datagrams), so timeline runs are *not* byte-identical to
-  // default runs.
+  // enabling it schedules capture ticks, which add simulator events (the
+  // sim.* counters move) but no traffic and no AP work, so a timeline run
+  // simulates exactly what a default run does.
   bool enable_timeline = false;
   sim::Duration timeline_interval{sim::seconds(30.0)};
-  // Evaluated once per captured window (build them with obs::parse_slo_rule).
+  // Loaded into the site's slo() and evaluated once per captured window
+  // (build them with obs::parse_slo_rule).
   std::vector<obs::SloRule> slo_rules;
 
   // Cache-analytics plane (DESIGN.md §5l): one obs::CacheAnalytics per AP,
   // all built from `analytics`.  Off by default: the plane is report-only,
   // so an analytics run's simulation is identical to a default run, but
-  // its exports carry extra keys (and timeline+analytics runs append the
-  // analytics report to scrape replies: real simulated cost).
+  // its exports carry extra keys.
   bool enable_analytics = false;
   obs::CacheAnalyticsConfig analytics;
 };
@@ -97,7 +99,9 @@ class Site {
 
   // Hosts the app's objects on the edge server and publishes its domain in
   // the DNS hierarchy (CNAME into the CDN namespace -> edge server A).
-  void host_app(const workload::AppSpec& app);
+  // Returns false, and changes nothing, when the domain is already hosted:
+  // a second publication would duplicate its CNAME, zone and delegation.
+  bool host_app(const workload::AppSpec& app);
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] net::Network& network() noexcept { return *network_; }
@@ -119,14 +123,21 @@ class Site {
   virtual void collect_metrics();
 
   // Timeline (enable_timeline runs only): schedules a capture tick every
-  // `timeline_interval` until `until`; each tick runs collect_metrics() and
-  // Timeline::capture through the delta cursor.
-  virtual void start_timeline(sim::Time until);
+  // `timeline_interval` until `until`; each tick runs collect_metrics(),
+  // Timeline::capture through the delta cursor, and feeds the captured
+  // window to slo().
+  void start_timeline(sim::Time until);
 
   // Final capture after the last registry mutation, so the windows
   // partition the run exactly and Timeline::reconcile holds.  Call once,
   // after the run and after any post-run counters are written.
   void flush_timeline();
+
+  // The run's SLO evaluator, loaded with SiteParams::slo_rules and fed
+  // every captured window in index order.  Its alert log is exported only
+  // through ExportOptions::alerts, never as registry counters: a counter
+  // written after a capture would sit outside every window.
+  [[nodiscard]] obs::SloEvaluator& slo() noexcept { return slo_; }
 
  protected:
   // Builds the back half around a first node `uplink_name` at `uplink_ip`:
@@ -146,9 +157,6 @@ class Site {
   void attach_client(Client& client, const std::string& name, net::NodeId ap,
                      net::IpAddress ap_ip, bool ape_enabled);
   [[nodiscard]] net::Port next_client_port() noexcept { return next_client_port_++; }
-
-  // Runs after every timeline capture, tick or flush.
-  virtual void on_window_captured() {}
 
  private:
   void capture_window();
@@ -175,12 +183,16 @@ class Site {
   APE_SHARD_LOCAL(controller) std::unique_ptr<dns::AuthoritativeDnsServer> adns_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<dns::CdnDnsServer> cdn_dns_;
 
+  // Domains host_app has published, so a second hosting is refused.
+  APE_SHARD_LOCAL(controller) std::set<std::string> hosted_domains_;
+
   APE_SHARD_LOCAL(controller) net::Port next_client_port_ = 49152;
   APE_SHARD_LOCAL(controller) std::uint32_t next_client_index_ = 0;
   // collect_metrics() span-folding idempotency cursor
   APE_SHARD_LOCAL(controller) std::size_t spans_histogrammed_ = 0;
   APE_SHARD_LOCAL(controller) sim::Time timeline_until_{};
   APE_SHARD_LOCAL(controller) sim::Simulator::EventId timeline_tick_ = 0;
+  APE_SHARD_LOCAL(controller) obs::SloEvaluator slo_;
 };
 
 }  // namespace ape::testbed

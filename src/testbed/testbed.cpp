@@ -49,25 +49,9 @@ Testbed::Testbed(TestbedParams params)
         network(), controller_node_, *controller_cpu_,
         net::Endpoint{kApIp, baselines::kWiCacheAgentControlPort}, kApIp, edge_ip());
   }
-
-  if (params_.enable_timeline) {
-    telemetry_agent_ = std::make_unique<TelemetryAgent>(
-        network(), uplink(), ap_->cpu(), observer().timeline(), &observer(), analytics_.get());
-    telemetry_collector_ = std::make_unique<TelemetryCollector>(
-        network(), controller_node_, net::Endpoint{kApIp, kTelemetryAgentPort},
-        kTelemetryScrapeInterval, &observer());
-    for (const obs::SloRule& rule : params_.slo_rules) {
-      telemetry_collector_->slo().add_rule(rule);
-    }
-  }
 }
 
 net::IpAddress Testbed::ap_ip() const noexcept { return kApIp; }
-
-void Testbed::start_timeline(sim::Time until) {
-  Site::start_timeline(until);
-  if (telemetry_collector_ != nullptr) telemetry_collector_->start(until);
-}
 
 void Testbed::build_ap() {
   core::ApRuntime::Options ap_options;
@@ -86,9 +70,6 @@ void Testbed::build_ap() {
 void Testbed::restart_ap(bool preserve_flash) {
   assert(ap_ != nullptr);
   assert(wicache_agent_ == nullptr && "restart_ap models APE firmware restarts only");
-  // The telemetry agent captures the old runtime's ServiceQueue by
-  // reference; timeline runs must not restart the AP.
-  assert(telemetry_agent_ == nullptr && "restart_ap is unsupported in timeline runs");
   // Completion events capture the runtime; tearing it down mid-flight is UB.
   assert(ap_->cpu().busy_servers() == 0 && ap_->cpu().queued() == 0 &&
          "restart_ap requires a quiesced AP (drain the sim first)");

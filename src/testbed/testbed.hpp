@@ -5,11 +5,11 @@
 //                             |--12 hops--> Wi-Cache controller (EC2)
 //
 // A Testbed is the shared Site (site.hpp) with the AP as its uplink, plus
-// the controller node that hosts the Wi-Cache controller and the telemetry
-// collector.  One Testbed instance realizes one system-under-test (the AP
-// either runs APE-CACHE with PACM, APE-CACHE with LRU, the Wi-Cache agent,
-// or nothing but stock DNS forwarding), so experiments build one Testbed
-// per compared system with identical seeds and workloads.
+// the controller node that hosts the Wi-Cache controller.  One Testbed
+// instance realizes one system-under-test (the AP either runs APE-CACHE
+// with PACM, APE-CACHE with LRU, the Wi-Cache agent, or nothing but stock
+// DNS forwarding), so experiments build one Testbed per compared system
+// with identical seeds and workloads.
 #pragma once
 
 #include <memory>
@@ -24,7 +24,6 @@
 #include "core/ap_runtime.hpp"
 #include "sim/resource_meter.hpp"
 #include "testbed/site.hpp"
-#include "testbed/telemetry.hpp"
 
 namespace ape::testbed {
 
@@ -33,7 +32,6 @@ enum class System { ApeCache, ApeCacheLru, WiCache, EdgeCache };
 [[nodiscard]] const char* to_string(System system) noexcept;
 
 inline constexpr std::size_t kWiCacheCapacityBytes = 5 * 1000 * 1000;
-inline constexpr sim::Duration kTelemetryScrapeInterval = sim::seconds(60.0);
 
 struct TestbedParams : SiteParams {
   System system = System::ApeCache;
@@ -86,23 +84,13 @@ class Testbed : public Site {
   // restart), without it the media is wiped first (a *cold* restart).
   // Only valid for APE systems, and only at a quiesced instant — no CPU or
   // flash work in flight (in-flight completions capture the old runtime).
+  // The timeline and the SLO evaluator live in the Site and read only the
+  // registry, so their windows stay exact across the restart.
   void restart_ap(bool preserve_flash);
 
   // Durable flash media handed to every ApRuntime incarnation; null when
   // the config has no flash tier.
   [[nodiscard]] store::FlashMedia* flash_media() noexcept { return flash_media_.get(); }
-
-  // --- timeline telemetry (enable_timeline runs only) -----------------------
-  // The site's capture tick, plus the collector's scrape loop every
-  // kTelemetryScrapeInterval until `until`.
-  void start_timeline(sim::Time until) override;
-
-  [[nodiscard]] TelemetryCollector* telemetry_collector() noexcept {
-    return telemetry_collector_.get();
-  }
-  [[nodiscard]] TelemetryAgent* telemetry_agent() noexcept {
-    return telemetry_agent_.get();
-  }
 
   // Cache-analytics plane (enable_analytics runs only; null otherwise).
   [[nodiscard]] obs::CacheAnalytics* analytics() noexcept { return analytics_.get(); }
@@ -125,8 +113,6 @@ class Testbed : public Site {
   APE_SHARD_LOCAL(controller) std::unique_ptr<baselines::WiCacheController> wicache_controller_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<baselines::WiCacheApAgent> wicache_agent_;
   APE_SHARD_LOCAL(controller) std::unique_ptr<sim::ResourceMeter> meter_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<TelemetryAgent> telemetry_agent_;
-  APE_SHARD_LOCAL(controller) std::unique_ptr<TelemetryCollector> telemetry_collector_;
 
   APE_SHARD_LOCAL(controller) std::vector<std::unique_ptr<Client>> clients_;
 };

@@ -284,21 +284,6 @@ TEST(CacheAnalytics, ReconcileDetectsBrokenPartition) {
   EXPECT_FALSE(plane.reconcile(1, 1, 2).empty());
 }
 
-TEST(CacheAnalytics, EncodeReportIsDeterministicAndShaped) {
-  CacheAnalytics plane;
-  plane.on_lookup("k1", 100, "100", LookupOutcome::Hit);
-  plane.on_lookup("k1", 100, "100", LookupOutcome::Hit);
-  plane.on_lookup("k2", 300, "101", LookupOutcome::Miss);
-
-  const std::string report = plane.encode_report();
-  EXPECT_EQ(report, plane.encode_report());
-  EXPECT_NE(report.find("ANALYTICS v1\n"), std::string::npos);
-  EXPECT_NE(report.find("EVICT"), std::string::npos);
-  EXPECT_NE(report.find("APP 100 2 0 0\n"), std::string::npos);
-  EXPECT_NE(report.find("APP 101 0 1 0\n"), std::string::npos);
-  EXPECT_NE(report.find("END-ANALYTICS\n"), std::string::npos);
-}
-
 // --------------------------------------------- store listener reentrancy
 
 TEST(CacheAnalytics, RemovalListenerMayInsertDuringEviction) {
@@ -406,7 +391,6 @@ TEST(CacheAnalyticsTestbed, AttributionPartitionMatchesCacheStatistics) {
   params.enable_analytics = true;
   testbed::Testbed bed(params);
   const std::vector<workload::AppSpec> apps = small_apps(3);
-  for (const auto& app : apps) bed.host_app(app);
   const auto result = testbed::run_workload(bed, apps, short_config());
   ASSERT_GT(result.object_fetches, 0u);
 
@@ -427,7 +411,6 @@ TEST(CacheAnalyticsTestbed, PlaneIsObservationOnly) {
 
   testbed::TestbedParams off_params;
   testbed::Testbed off_bed(off_params);
-  for (const auto& app : apps) off_bed.host_app(app);
   const auto off = testbed::run_workload(off_bed, apps, short_config());
 
   testbed::TestbedParams on_params;
@@ -437,7 +420,6 @@ TEST(CacheAnalyticsTestbed, PlaneIsObservationOnly) {
   shards.sample_rate = 0.25;
   on_params.analytics.profilers = {MrcConfig{}, shards};
   testbed::Testbed on_bed(on_params);
-  for (const auto& app : apps) on_bed.host_app(app);
   const auto on = testbed::run_workload(on_bed, apps, short_config());
 
   EXPECT_EQ(off.object_fetches, on.object_fetches);
@@ -451,7 +433,6 @@ TEST(CacheAnalyticsTestbed, PlaneIsObservationOnly) {
 TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   const std::vector<workload::AppSpec> apps = small_apps(1);
   testbed::Testbed bed(testbed::TestbedParams{});
-  for (const auto& app : apps) bed.host_app(app);
   const auto result = testbed::run_workload(bed, apps, short_config());
 
   EXPECT_EQ(bed.analytics(), nullptr);
@@ -466,7 +447,6 @@ TEST(CacheAnalyticsTestbed, DefaultRunExportsNoAnalyticsKeys) {
   testbed::TestbedParams on_params;
   on_params.enable_analytics = true;
   testbed::Testbed on_bed(on_params);
-  for (const auto& app : apps) on_bed.host_app(app);
   const auto on = testbed::run_workload(on_bed, apps, short_config());
   const std::string on_json = to_json(on.metrics);
   EXPECT_NE(on_json.find("ap.cache.evict.capacity"), std::string::npos);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -97,6 +98,10 @@ TEST(ObsExport, FormatDoubleIsShortestRoundTrip) {
   EXPECT_EQ(obs::format_double(0.5), "0.5");
   EXPECT_EQ(obs::format_double(3.0), "3");
   EXPECT_EQ(obs::format_double(0.0), "0");
+  // A value with no short decimal form still survives the text round trip
+  // bit-exactly.
+  constexpr double kGolden = 0.6180339887498949;
+  EXPECT_EQ(std::stod(obs::format_double(kGolden)), kGolden);
   // Non-finite values degrade to 0 (JSON has no NaN/Inf).
   EXPECT_EQ(obs::format_double(std::numeric_limits<double>::quiet_NaN()), "0");
   EXPECT_EQ(obs::format_double(std::numeric_limits<double>::infinity()), "0");

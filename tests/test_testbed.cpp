@@ -51,6 +51,25 @@ TEST(TestbedWiring, HostAppPublishesDomain) {
   EXPECT_TRUE(out.success);
 }
 
+TEST(TestbedWiring, HostingAnAppTwiceIsRejected) {
+  // The second host_app of a domain publishes nothing: a duplicate CNAME
+  // would ride every ADNS answer for the app and slow its first lookup.
+  const auto app = workload::make_movie_trailer();
+  auto first_lookup = [&app](int hostings) {
+    Testbed bed(TestbedParams{});
+    EXPECT_TRUE(bed.host_app(app));
+    for (int i = 1; i < hostings; ++i) EXPECT_FALSE(bed.host_app(app));
+    auto& client = bed.add_client("phone");
+    core::ClientRuntime::FetchResult out;
+    client.runtime->fetch_via_edge(app.requests[0].url,
+                                   [&out](core::ClientRuntime::FetchResult r) { out = r; });
+    bed.simulator().run();
+    EXPECT_TRUE(out.success);
+    return out.lookup_latency;
+  };
+  EXPECT_EQ(first_lookup(1), first_lookup(2));
+}
+
 TEST(TestbedWiring, ClientsGetDistinctAddressesAndPorts) {
   Testbed bed(TestbedParams{});
   const auto app = workload::make_movie_trailer();

@@ -1,6 +1,6 @@
 // Windowed telemetry (DESIGN.md §5g): the Timeline delta cursor, the SLO
-// rule grammar + alert state machine, the telemetry wire codec, and the
-// end-to-end scrape path through the testbed.
+// rule grammar + alert state machine, and the end-to-end path through the
+// testbed's capture tick into its SLO evaluator.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +9,6 @@
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
 #include "testbed/experiment.hpp"
-#include "testbed/telemetry.hpp"
 #include "workload/real_apps.hpp"
 
 namespace ape::obs {
@@ -271,75 +270,15 @@ TEST(SloEvaluator, HistogramFieldRuleReadsWindowSummary) {
 namespace ape::testbed {
 namespace {
 
-// -------------------------------------------------------- wire protocol
-
-obs::TimelineWindow sample_window() {
-  obs::TimelineWindow w;
-  w.index = 3;
-  w.start = sim::Time{sim::seconds(90.0)};
-  w.end = sim::Time{sim::seconds(120.0)};
-  w.counter_deltas["hits"] = 17;
-  w.counter_deltas["cache.entries"] = -4;  // set-style shrink
-  w.gauges["ratio"] = 0.6180339887498949;
-  auto& h = w.histograms["lat_ms"];
-  h.unit = "ms";
-  h.count = 3;
-  h.sum = 21.5;
-  h.mean = 21.5 / 3.0;
-  h.min = 1.25;
-  h.max = 16.125;
-  h.p50 = 4.125;
-  h.p95 = 15.0;
-  h.p99 = 16.0;
-  return w;
-}
-
-TEST(TelemetryCodec, RoundTripIsExact) {
-  TelemetryReport report;
-  report.from = 3;
-  report.total = 5;
-  report.windows.push_back(sample_window());
-
-  const auto decoded = decode_telemetry_report(encode_telemetry_report(report));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().from, 3u);
-  EXPECT_EQ(decoded.value().total, 5u);
-  ASSERT_EQ(decoded.value().windows.size(), 1u);
-
-  const auto& got = decoded.value().windows[0];
-  const auto want = sample_window();
-  EXPECT_EQ(got.index, want.index);
-  EXPECT_EQ(got.start, want.start);
-  EXPECT_EQ(got.end, want.end);
-  EXPECT_EQ(got.counter_deltas, want.counter_deltas);
-  ASSERT_EQ(got.gauges.size(), 1u);
-  // format_double is shortest-round-trip: doubles survive the wire exactly.
-  EXPECT_EQ(got.gauges.at("ratio"), want.gauges.at("ratio"));
-  const auto& gh = got.histograms.at("lat_ms");
-  const auto& wh = want.histograms.at("lat_ms");
-  EXPECT_EQ(gh.unit, wh.unit);
-  EXPECT_EQ(gh.count, wh.count);
-  EXPECT_EQ(gh.sum, wh.sum);
-  EXPECT_EQ(gh.mean, wh.mean);
-  EXPECT_EQ(gh.min, wh.min);
-  EXPECT_EQ(gh.max, wh.max);
-  EXPECT_EQ(gh.p50, wh.p50);
-  EXPECT_EQ(gh.p95, wh.p95);
-  EXPECT_EQ(gh.p99, wh.p99);
-}
-
-TEST(TelemetryCodec, RejectsMalformedReports) {
-  EXPECT_FALSE(decode_telemetry_report("").ok());
-  EXPECT_FALSE(decode_telemetry_report("HELLO 1 2 3\nEND\n").ok());
-  // Truncated: no END terminator.
-  EXPECT_FALSE(decode_telemetry_report("REPORT 0 0 0\n").ok());
-  // A record line before any window header.
-  EXPECT_FALSE(decode_telemetry_report("REPORT 0 1 0\nC hits 5\nEND\n").ok());
-}
-
 // ------------------------------------------------------- end-to-end run
 
-TEST(TimelineRun, ScrapePathShipsWindowsAndReconciles) {
+WorkloadConfig short_config() {
+  WorkloadConfig config;
+  config.duration = sim::minutes(5.0);
+  return config;
+}
+
+TEST(TimelineRun, SiteEvaluatesEveryWindowAndReconciles) {
   TestbedParams params;
   params.enable_timeline = true;
   params.timeline_interval = sim::seconds(30.0);
@@ -347,57 +286,117 @@ TEST(TimelineRun, ScrapePathShipsWindowsAndReconciles) {
       obs::parse_slo_rule("warm: ap.cache.hit_ratio >= 0.99 over 2 windows").value()};
 
   Testbed bed(params);
-  std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
-  WorkloadConfig config;
-  config.duration = sim::minutes(5.0);
-  for (const auto& app : apps) bed.host_app(app);
-  (void)run_workload(bed, apps, config);
+  const std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
+  (void)run_workload(bed, apps, short_config());
 
   const auto& timeline = bed.observer().timeline();
   ASSERT_GT(timeline.windows().size(), 4u);
   // The acceptance identity: deltas partition the run exactly.
   EXPECT_TRUE(timeline.reconcile(bed.observer().metrics()).empty());
 
-  // The collector scraped over the simulated WAN and saw a prefix of the
-  // AP's windows, bit-exact after the text round trip.
-  auto* collector = bed.telemetry_collector();
-  ASSERT_NE(collector, nullptr);
-  EXPECT_GT(collector->scrapes_sent(), 0u);
-  EXPECT_GT(collector->reports_received(), 0u);
-  ASSERT_LE(collector->windows().size(), timeline.windows().size());
-  ASSERT_GT(collector->windows().size(), 0u);
-  for (std::size_t i = 0; i < collector->windows().size(); ++i) {
-    const auto& got = collector->windows()[i];
-    const auto& want = timeline.windows()[i];
-    EXPECT_EQ(got.index, want.index);
-    EXPECT_EQ(got.counter_deltas, want.counter_deltas);
-    EXPECT_EQ(got.gauges, want.gauges);
-  }
+  // The site's evaluator was loaded from the params and saw the early cold
+  // windows, starting with the first one.
+  ASSERT_EQ(bed.slo().rule_count(), 1u);
+  const auto& transitions = bed.slo().transitions();
+  ASSERT_GE(transitions.size(), 1u);
+  EXPECT_EQ(transitions.front().window, 0u);
+  EXPECT_EQ(transitions.front().rule, "warm");
+  EXPECT_LT(transitions.back().window, timeline.windows().size());
 
-  // The scrape path accounted itself in the registry.
-  auto& m = bed.observer().metrics();
-  EXPECT_GT(m.counter("ap.telemetry.scrapes").value(), 0u);
-  EXPECT_GT(m.counter("ap.telemetry.tx_bytes").value(), 0u);
-  EXPECT_GT(m.counter("controller.telemetry.reports").value(), 0u);
-
-  // The warm-up rule saw the early cold windows.
-  EXPECT_GE(collector->slo().transitions().size(), 1u);
+  // Alerts live in the export's alerts section only: the registry carries
+  // no mirror counters (one written after a capture would sit outside
+  // every window).
+  const auto json = obs::to_json(bed.observer().metrics());
+  EXPECT_EQ(json.find("\"slo."), std::string::npos);
 }
 
-TEST(TimelineRun, DefaultRunCarriesNoTelemetry) {
-  Testbed bed(TestbedParams{});
-  EXPECT_EQ(bed.telemetry_collector(), nullptr);
-  EXPECT_EQ(bed.telemetry_agent(), nullptr);
-  EXPECT_FALSE(bed.observer().timeline_enabled());
+TEST(TimelineRun, PlaneIsObservationOnly) {
+  // Same workload with the timeline off and on: the capture ticks and the
+  // SLO evaluator only watch, so every simulated outcome matches, down to
+  // the AP's CPU busy time.
+  const std::vector<workload::AppSpec> apps{workload::make_movie_trailer(),
+                                            workload::make_virtual_home()};
+  Testbed off_bed(TestbedParams{});
+  auto off = run_workload(off_bed, apps, short_config());
 
-  std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
+  TestbedParams on_params;
+  on_params.enable_timeline = true;
+  on_params.timeline_interval = sim::seconds(10.0);
+  on_params.slo_rules = {
+      obs::parse_slo_rule("tail: client.total_ms p99 <= 10ms over 1 windows").value()};
+  Testbed on_bed(on_params);
+  auto on = run_workload(on_bed, apps, short_config());
+  ASSERT_GT(on_bed.observer().timeline().windows().size(), 10u);
+  ASSERT_FALSE(on_bed.slo().transitions().empty());
+
+  EXPECT_EQ(off.app_runs, on.app_runs);
+  EXPECT_EQ(off.object_fetches, on.object_fetches);
+  EXPECT_EQ(off.failures, on.failures);
+  EXPECT_EQ(off.ap_hits, on.ap_hits);
+  EXPECT_EQ(off.high_priority_fetches, on.high_priority_fetches);
+  EXPECT_EQ(off.high_priority_ap_hits, on.high_priority_ap_hits);
+  EXPECT_EQ(off.app_latency_ms.samples(), on.app_latency_ms.samples());
+  EXPECT_EQ(off.lookup_ms.samples(), on.lookup_ms.samples());
+  EXPECT_EQ(off.retrieval_ms.samples(), on.retrieval_ms.samples());
+  EXPECT_EQ(off.total_ms.samples(), on.total_ms.samples());
+  EXPECT_EQ(off.metrics.gauge("ap.cpu.busy_s").value(),
+            on.metrics.gauge("ap.cpu.busy_s").value());
+}
+
+TEST(TimelineRun, ApRestartKeepsWindowsExact) {
+  TestbedParams params;
+  params.ape.flash_capacity_bytes = 5'000'000;
+  params.enable_timeline = true;
+  params.timeline_interval = sim::seconds(10.0);
+  params.slo_rules = {
+      obs::parse_slo_rule("warm: ap.cache.hit_ratio >= 0.5 over 1 windows").value()};
+  Testbed bed(params);
+  const auto app = workload::make_movie_trailer();
+  bed.host_app(app);
+  const sim::Time until{sim::minutes(3.0)};
+  bed.start_timeline(until);
+
+  // Fetches every object once through a fresh client, leaving each fetch
+  // five sim-seconds to drain.
+  auto run_app = [&bed, &app](const std::string& name) {
+    auto& client = bed.add_client(name);
+    for (auto& spec : app.cacheables()) client.runtime->register_cacheable(spec);
+    for (const auto& request : app.requests) {
+      client.runtime->fetch(request.url, [](core::ClientRuntime::FetchResult) {});
+      bed.simulator().run_until(bed.simulator().now() + sim::seconds(5.0));
+    }
+  };
+  run_app("phone");
+
+  // A warm restart at a quiesced instant, between two capture ticks.
+  ASSERT_EQ(bed.ap().cpu().busy_servers(), 0u);
+  ASSERT_EQ(bed.ap().cpu().queued(), 0u);
+  const std::size_t windows_before = bed.observer().timeline().windows().size();
+  ASSERT_GT(windows_before, 0u);
+  bed.restart_ap(/*preserve_flash=*/true);
+
+  run_app("tablet");
+  bed.simulator().run_until(until);
+  bed.flush_timeline();
+
+  const auto& timeline = bed.observer().timeline();
+  EXPECT_GT(timeline.windows().size(), windows_before);
+  EXPECT_TRUE(timeline.reconcile(bed.observer().metrics()).empty());
+  EXPECT_FALSE(bed.slo().transitions().empty());
+}
+
+TEST(TimelineRun, DefaultRunCarriesNoTimeline) {
+  Testbed bed(TestbedParams{});
+  EXPECT_FALSE(bed.observer().timeline_enabled());
+  EXPECT_EQ(bed.slo().rule_count(), 0u);
+
+  const std::vector<workload::AppSpec> apps{workload::make_movie_trailer()};
   WorkloadConfig config;
   config.duration = sim::minutes(2.0);
-  for (const auto& app : apps) bed.host_app(app);
   (void)run_workload(bed, apps, config);
 
   EXPECT_TRUE(bed.observer().timeline().windows().empty());
-  EXPECT_EQ(bed.observer().metrics().counter("ap.telemetry.scrapes").value(), 0u);
+  EXPECT_TRUE(bed.slo().transitions().empty());
 
   // And the export carries no timeline sections — the byte-identity gate.
   const auto json = obs::to_json(bed.observer().metrics());

@@ -201,6 +201,12 @@ def print_table(header: list[str], rows: list[list[str]]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
 
 
+def condition_subject(rule: dict) -> str:
+    """The rule's metric, plus its histogram field unless it reads the value."""
+    field = rule.get("field", "value")
+    return rule["metric"] if field == "value" else f"{rule['metric']} {field}"
+
+
 def report(doc: dict) -> None:
     ts = doc["timeseries"]
     windows = ts["windows"]
@@ -230,8 +236,8 @@ def report(doc: dict) -> None:
                 for t in alerts.get("transitions", [])]
         if rows:
             print_table(["window", "rule", "from", "to", "value"], rows)
-        rows = [[r["name"], r["state"],
-                 f"{r['metric']} {r['op']} {r['threshold']:g} over {r['for_windows']}"]
+        rows = [[r["name"], r["state"], f"{condition_subject(r)} {r['op']} "
+                 f"{r['threshold']:g} over {r['for_windows']}"]
                 for r in alerts.get("rules", [])]
         if rows:
             print("\nFinal rule states:")
