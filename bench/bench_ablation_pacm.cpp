@@ -7,7 +7,9 @@
 //   3. the revalidation extension on top of full PACM.
 //
 // All runs share the default paper workload (30 apps, 1-100 kB objects,
-// 3 runs/min, 5 MB AP cache, 45 simulated minutes).
+// 3 runs/min, 5 MB AP cache, 45 simulated minutes).  The `--json` snapshot
+// is committed as bench/baselines/ablation.json and diffed at zero
+// tolerance over every gauge.
 #include "bench_common.hpp"
 
 using namespace ape;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -23,7 +24,8 @@ KnapsackResult solve_greedy(std::span<const KnapsackItem> items, std::size_t cap
 
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  // Stable: equal-density items keep input order (the store's key order).
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     const double da = items[a].weight == 0
                           ? items[a].value
                           : items[a].value / static_cast<double>(items[a].weight);
@@ -56,20 +58,51 @@ KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t c
   if (n == 0) return KnapsackResult{{}, 0.0, 0, true};
   if (n * (cap_units + 1) > dp_budget) return solve_greedy(items, capacity_bytes);
 
-  // dp[w] = best value using a prefix of items at weight w; `taken` bitset
-  // per item row enables backtracking without an n x cap table of doubles.
-  const std::size_t width = cap_units + 1;
-  std::vector<double> dp(width, 0.0);
-  std::vector<std::vector<bool>> taken(n, std::vector<bool>(width, false));
-
+  // Row windows (knapsack.hpp): row i fills only columns [lo, hi], where
+  // hi = min(C, P_i) and lo = max(w_i, min(max(0, C - S_{i+1}), P_i)).
+  // P_i / S_{i+1} are the prefix / suffix unit sums of the items that fit.
+  struct Row {
+    std::size_t lo = 1, hi = 0;  // empty: the item never fits
+    std::size_t offset = 0;      // first cell of the row in `taken`
+  };
+  std::size_t fit_units = 0;
+  for (const KnapsackItem& item : items) {
+    if (units(item.weight) <= cap_units) fit_units += units(item.weight);
+  }
+  std::vector<Row> rows(n);
+  std::size_t prefix = 0;
+  std::size_t cells = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t w = units(items[i].weight);
     if (w > cap_units) continue;  // can never fit
-    for (std::size_t c = cap_units + 1; c-- > w;) {
+    prefix += w;
+    // max(0, C - S_{i+1}): the backtrack from C never reaches below it.
+    const std::size_t reach =
+        cap_units + prefix > fit_units ? cap_units + prefix - fit_units : 0;
+    rows[i] = Row{std::max(w, std::min(reach, prefix)), std::min(cap_units, prefix), cells};
+    cells += rows[i].hi - rows[i].lo + 1;
+  }
+
+  // dp[c] = best value of the rows so far at weight c, exact on [lo, hi] of
+  // the last row (every cell above P_i equals the one at P_i); `taken`
+  // holds each row's window of improvement flags for the backtrack, one
+  // byte per cell: independent byte stores keep the row loop about twice
+  // as fast as packed bits.
+  std::vector<double> dp(std::min(cap_units, fit_units) + 1, 0.0);
+  std::vector<std::uint8_t> taken(cells, 0);
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Row& row = rows[i];
+    if (row.lo > row.hi) continue;
+    std::fill(dp.begin() + static_cast<std::ptrdiff_t>(top + 1),
+              dp.begin() + static_cast<std::ptrdiff_t>(row.hi + 1), dp[top]);
+    top = row.hi;
+    const std::size_t w = units(items[i].weight);
+    for (std::size_t c = row.hi + 1; c-- > row.lo;) {
       const double candidate = dp[c - w] + items[i].value;
       if (candidate > dp[c]) {
         dp[c] = candidate;
-        taken[i][c] = true;
+        taken[row.offset + (c - row.lo)] = 1;
       }
     }
   }
@@ -77,14 +110,16 @@ KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t c
   KnapsackResult result;
   result.exact = true;
   result.selected.assign(n, false);
-  result.total_value = dp[cap_units];
+  result.total_value = dp[top];
 
   std::size_t c = cap_units;
   for (std::size_t i = n; i-- > 0;) {
-    if (taken[i][c]) {
+    const Row& row = rows[i];
+    const std::size_t col = std::min(c, row.hi);  // cells above hi repeat it
+    if (row.lo <= col && taken[row.offset + (col - row.lo)]) {
       result.selected[i] = true;
       result.total_weight += items[i].weight;
-      c -= units(items[i].weight);
+      c = col - units(items[i].weight);
     }
   }
 

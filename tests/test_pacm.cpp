@@ -6,6 +6,7 @@
 #include "core/knapsack.hpp"
 #include "core/pacm.hpp"
 #include "core/pacm_policy.hpp"
+#include "knapsack_oracle.hpp"
 #include "obs/observer.hpp"
 #include "sim/rng.hpp"
 
@@ -73,6 +74,16 @@ TEST(Knapsack, GreedyFallbackWhenOverBudget) {
   EXPECT_NEAR(result.total_value, 50.0, 1.0);
 }
 
+TEST(Knapsack, GreedyTiesKeepInputOrder) {
+  // Equal densities: the greedy keeps the first 50 in input order.
+  std::vector<KnapsackItem> items(100, KnapsackItem{1.0, 1024});
+  const auto result = solve_knapsack(items, 50 * 1024, /*dp_budget=*/1);
+  ASSERT_FALSE(result.exact);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(result.selected[i], i < 50) << "item " << i;
+  }
+}
+
 TEST(Knapsack, GreedyPrefersDenseItems) {
   std::vector<KnapsackItem> items{{100.0, 10 * 1024}, {5.0, 1024}, {1.0, 1024}};
   const auto result = solve_knapsack(items, 11 * 1024, /*dp_budget=*/1);
@@ -106,6 +117,117 @@ TEST_P(KnapsackProperty, DpDominatesGreedy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackProperty, ::testing::Range(1, 21));
+
+// Property: the windowed DP equals the full-table oracle field for field,
+// total_value included with ==.  Each seed draws 100 instances cycling
+// through the regimes below, so the 20 seeds cover 2,000 instances.
+struct KnapsackInstance {
+  std::vector<KnapsackItem> items;
+  std::size_t capacity = 0;
+};
+
+std::size_t total_bytes(const std::vector<KnapsackItem>& items) {
+  std::size_t sum = 0;
+  for (const auto& item : items) sum += item.weight;
+  return sum;
+}
+
+std::size_t draw(sim::Rng& rng, std::int64_t lo, std::int64_t hi) {
+  return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+}
+
+KnapsackInstance draw_instance(int regime, sim::Rng& rng) {
+  KnapsackInstance in;
+  switch (regime) {
+    case 0:
+    case 1: {  // the AP at capacity: 20-320 objects of 1-100 kB, 0-150 kB over
+      const std::size_t n = draw(rng, 20, 320);
+      for (std::size_t i = 0; i < n; ++i) {
+        in.items.push_back({rng.uniform_real(0.0, 1e6), draw(rng, 1'000, 100'000)});
+      }
+      const std::size_t over = draw(rng, 0, 150'000);
+      const std::size_t sum = total_bytes(in.items);
+      in.capacity = sum > over ? sum - over : 0;
+      break;
+    }
+    case 2: {  // AP regime with runs of equal values and whole-kB sizes
+      const std::size_t n = draw(rng, 20, 320);
+      while (in.items.size() < n) {
+        const double value = static_cast<double>(draw(rng, 0, 4));
+        for (std::size_t run = draw(rng, 1, 12); run > 0 && in.items.size() < n; --run) {
+          in.items.push_back({value, 1024 * draw(rng, 1, 100)});
+        }
+      }
+      const std::size_t over = draw(rng, 0, 150'000);
+      const std::size_t sum = total_bytes(in.items);
+      in.capacity = sum > over ? sum - over : 0;
+      break;
+    }
+    case 3: {  // small instances, any capacity up to twice the total
+      for (std::size_t n = draw(rng, 1, 40); n > 0; --n) {
+        in.items.push_back({rng.uniform_real(0.0, 100.0), draw(rng, 1, 30'000)});
+      }
+      in.capacity = draw(rng, 0, 2 * static_cast<std::int64_t>(total_bytes(in.items)));
+      break;
+    }
+    case 4: {  // zero weights and zero values mixed in
+      for (std::size_t n = draw(rng, 1, 40); n > 0; --n) {
+        const std::size_t weight = rng.bernoulli(0.25) ? 0 : draw(rng, 1, 30'000);
+        const double value = rng.bernoulli(0.25) ? 0.0 : rng.uniform_real(0.0, 100.0);
+        in.items.push_back({value, weight});
+      }
+      in.capacity = draw(rng, 0, static_cast<std::int64_t>(total_bytes(in.items)));
+      break;
+    }
+    case 5: {  // items larger than the capacity
+      in.capacity = draw(rng, 1, 60'000);
+      for (std::size_t n = draw(rng, 1, 40); n > 0; --n) {
+        const std::size_t weight = rng.bernoulli(0.3) ? in.capacity + draw(rng, 1, 50'000)
+                                                      : draw(rng, 1, 20'000);
+        in.items.push_back({rng.uniform_real(0.0, 100.0), weight});
+      }
+      break;
+    }
+    case 6: {  // all fit, or an exact fit of a random subset
+      for (std::size_t n = draw(rng, 1, 40); n > 0; --n) {
+        in.items.push_back({rng.uniform_real(0.0, 100.0), draw(rng, 1, 20'000)});
+      }
+      if (rng.bernoulli(0.5)) {
+        in.capacity = total_bytes(in.items) + draw(rng, 0, 4'096);
+      } else {
+        for (const auto& item : in.items) {
+          if (rng.bernoulli(0.5)) in.capacity += item.weight;
+        }
+      }
+      break;
+    }
+    default: {  // capacity 0: only zero-weight items can stay
+      for (std::size_t n = draw(rng, 1, 20); n > 0; --n) {
+        const std::size_t weight = rng.bernoulli(0.4) ? 0 : draw(rng, 1, 5'000);
+        in.items.push_back({rng.uniform_real(0.0, 10.0), weight});
+      }
+      break;
+    }
+  }
+  return in;
+}
+
+class KnapsackOracleProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(KnapsackOracleProperty, WindowedDpMatchesFullTable) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  for (int k = 0; k < 100; ++k) {
+    const KnapsackInstance in = draw_instance(k % 8, rng);
+    const auto got = solve_knapsack(in.items, in.capacity);
+    const auto want = oracle::full_table_knapsack(in.items, in.capacity);
+    EXPECT_EQ(got.exact, want.exact) << "instance " << k;  // the oracle is always exact
+    EXPECT_EQ(got.selected, want.selected) << "instance " << k;
+    EXPECT_EQ(got.total_weight, want.total_weight) << "instance " << k;
+    EXPECT_EQ(got.total_value, want.total_value) << "instance " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackOracleProperty, ::testing::Range(1, 21));
 
 // ----------------------------------------------------------- PacmSolver
 
