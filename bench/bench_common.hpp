@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,9 +19,9 @@
 
 namespace ape::bench {
 
-// Every bench binary owns one reporter: it parses `--json <path>` (and
-// `--csv <path>`), accumulates the bench's headline numbers plus the full
-// per-system registries, and dumps an "ape.obs.v1" snapshot on finish().
+// Every bench binary owns one reporter: it parses `--json <path>`,
+// accumulates the bench's headline numbers plus the full per-system
+// registries, and dumps an "ape.obs.v1" snapshot on finish().
 // This is what turns the human-oriented tables into a perf trajectory CI
 // can diff (scripts/check_bench_regression.py).
 class BenchReporter {
@@ -33,15 +32,13 @@ class BenchReporter {
       const std::string arg = argv[i];
       if (arg == "--json" && i + 1 < argc) {
         json_path_ = argv[++i];
-      } else if (arg == "--csv" && i + 1 < argc) {
-        csv_path_ = argv[++i];
       } else if (arg == "--trace-out" && i + 1 < argc) {
         trace_path_ = argv[++i];
       } else if (arg == "--timeline-out" && i + 1 < argc) {
         timeline_path_ = argv[++i];
       } else if (arg == "--help" || arg == "-h") {
         std::printf(
-            "usage: %s [--json <path>] [--csv <path>] [--trace-out <path>] "
+            "usage: %s [--json <path>] [--trace-out <path>] "
             "[--timeline-out <path>]\n",
             name_.c_str());
         std::exit(0);
@@ -80,37 +77,23 @@ class BenchReporter {
     registry_.merge(result.metrics, prefix + ".");
   }
 
-  // Writes the snapshot(s) when requested; returns the bench's exit code.
+  // Writes the snapshot when requested; returns the bench's exit code.
   [[nodiscard]] int finish() {
     obs::ExportOptions options;
     options.meta["bench"] = name_;
     options.include_volatile = export_volatile_;
-    int rc = 0;
-    if (!json_path_.empty()) {
-      if (obs::write_json_file(json_path_, registry_, options)) {
-        std::printf("json snapshot: %s\n", json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", json_path_.c_str());
-        rc = 1;
-      }
+    if (json_path_.empty()) return 0;
+    if (!obs::write_json_file(json_path_, registry_, options)) {
+      std::fprintf(stderr, "error: cannot write %s\n", json_path_.c_str());
+      return 1;
     }
-    if (!csv_path_.empty()) {
-      std::ofstream csv(csv_path_);
-      if (csv) {
-        obs::write_csv(csv, registry_);
-        std::printf("csv snapshot: %s\n", csv_path_.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", csv_path_.c_str());
-        rc = 1;
-      }
-    }
-    return rc;
+    std::printf("json snapshot: %s\n", json_path_.c_str());
+    return 0;
   }
 
  private:
   std::string name_;
   std::string json_path_;
-  std::string csv_path_;
   std::string trace_path_;
   std::string timeline_path_;
   bool export_volatile_ = false;

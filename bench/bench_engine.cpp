@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   EngineBench bench(params);
   // Mounted before the first schedule so the stable per-kind counters
   // account for every event the run ever created (the identities
-  // profile_report.py --validate checks depend on this).
+  // `obs_report.py profile` checks depend on this).
   ape::obs::EngineProfiler profiler(bench.sim());
   profiler.enable_wallclock(profile_wallclock);
   const ape::obs::WallClockTimer timer(true);

@@ -63,7 +63,7 @@ BENCHMARK(BM_ChurnLfu);
 void BM_ChurnPacm(benchmark::State& state) {
   static sim::Simulator sim;
   static core::ApeConfig config;
-  static core::FrequencyTracker freq(config.alpha, config.frequency_window);
+  static core::FrequencyTracker freq(core::kAlpha, core::kFrequencyWindow);
   for (core::AppId a = 0; a < 30; ++a) freq.record_request(a, sim.now());
   churn(state, [] { return std::make_unique<core::PacmPolicy>(config, sim, freq); });
 }

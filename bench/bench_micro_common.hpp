@@ -1,5 +1,5 @@
 // Shared main() for the google-benchmark micros: runs the usual console
-// reporting, and behind `--json <path>` / `--csv <path>` also dumps an
+// reporting, and behind `--json <path>` also dumps an
 // "ape.obs.v1" snapshot with per-benchmark timings.  Wall-clock timings are
 // inherently noisy, so every metric lands in the snapshot's `volatile`
 // section — scripts/check_bench_regression.py ignores it by default.
@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,20 +39,17 @@ class MicroObsReporter : public benchmark::ConsoleReporter {
   obs::MetricsRegistry& registry_;
 };
 
-// Drop-in replacement for BENCHMARK_MAIN(): strips our `--json` / `--csv`
-// flags before handing argv to google-benchmark (which rejects unknown
-// flags), then exports the collected registry.
+// Drop-in replacement for BENCHMARK_MAIN(): strips our `--json` flag
+// before handing argv to google-benchmark (which rejects unknown flags),
+// then exports the collected registry.
 inline int micro_bench_main(int argc, char** argv, const std::string& bench_name) {
   std::string json_path;
-  std::string csv_path;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--csv" && i + 1 < argc) {
-      csv_path = argv[++i];
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -70,26 +66,13 @@ inline int micro_bench_main(int argc, char** argv, const std::string& bench_name
   obs::ExportOptions options;
   options.meta["bench"] = bench_name;
   options.include_volatile = true;
-  int rc = 0;
-  if (!json_path.empty()) {
-    if (obs::write_json_file(json_path, registry, options)) {
-      std::printf("json snapshot: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      rc = 1;
-    }
+  if (json_path.empty()) return 0;
+  if (!obs::write_json_file(json_path, registry, options)) {
+    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+    return 1;
   }
-  if (!csv_path.empty()) {
-    std::ofstream csv(csv_path);
-    if (csv) {
-      obs::write_csv(csv, registry, /*include_volatile=*/true);
-      std::printf("csv snapshot: %s\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      rc = 1;
-    }
-  }
-  return rc;
+  std::printf("json snapshot: %s\n", json_path.c_str());
+  return 0;
 }
 
 }  // namespace ape::bench

@@ -12,7 +12,7 @@
 //     s_max-bounded sampler against the oracle at ~100x less bookkeeping.
 //     Same error gate.
 //   * `--mrc-out <path>` — one extra analytics run, exported as an
-//     ape.obs.v1 snapshot with the "mrc" section for tools/mrc_report.py.
+//     ape.obs.v1 snapshot with the "mrc" section for `tools/obs_report.py mrc`.
 //     It writes its own file and never feeds the `--json` snapshot.
 //
 // The `--json` snapshot is committed as bench/baselines/mrc.json and diffed
@@ -36,7 +36,7 @@ namespace {
 constexpr double kMaxAbsError = 0.02;
 
 // Max |oracle - estimate| over every bucket boundary in [lo, hi] — the
-// capacity band the what-if analysis serves (tools/mrc_report.py tables
+// capacity band the what-if analysis serves (`tools/obs_report.py mrc` tables
 // 0.5x..4x of the configured capacity).  Outside the band the curve's
 // degenerate ends (sub-object capacities, the last few cold objects) carry
 // no provisioning signal; pass lo=0, hi=UINT64_MAX for the full curve.
@@ -248,7 +248,7 @@ int run_synthetic(bench::BenchReporter& reporter, const SyntheticSpec& spec) {
 // ------------------------------------------------------ --mrc-out flavour
 
 // Analytics run whose full snapshot (with the "mrc" section) goes to
-// `path` for tools/mrc_report.py.
+// `path` for `tools/obs_report.py mrc`.
 int run_mrc_out(const std::string& path, const std::vector<workload::AppSpec>& apps,
                 const testbed::WorkloadConfig& config) {
   testbed::Testbed bed(analytics_params());

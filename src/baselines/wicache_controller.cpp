@@ -106,7 +106,7 @@ WiCacheApAgent::WiCacheApAgent(net::Network& network, net::TcpTransport& tcp,
                             http::HttpServer::Responder respond) {
     serve(req, std::move(respond));
   });
-  store_.set_removal_listener([this](const cache::CacheEntry& entry, RemovalCause) {
+  store_.add_removal_listener([this](const cache::CacheEntry& entry, RemovalCause) {
     report("REMOVE", entry.key);
   });
 }

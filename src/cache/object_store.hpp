@@ -64,7 +64,6 @@ class CacheStore {
 
   [[nodiscard]] std::size_t capacity_bytes() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t used_bytes() const noexcept { return used_; }
-  [[nodiscard]] std::size_t free_bytes() const noexcept { return capacity_ - used_; }
   [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
 
   void for_each(const std::function<void(const CacheEntry&)>& fn) const;
@@ -79,13 +78,9 @@ class CacheStore {
   // Fires for every entry that leaves the store, with the reason.  Wi-Cache
   // uses this to keep its central controller's registry in sync with the
   // AP's cache; the APE flash tier uses it to demote eviction victims.
-  // set_ replaces every registered listener; add_ appends (the fleet
-  // directory client mirrors removals *alongside* the tiered store's
-  // demotion hook, so both must observe the same removal stream).
-  void set_removal_listener(std::function<void(const CacheEntry&, RemovalCause)> listener) {
-    removal_listeners_.clear();
-    removal_listeners_.push_back(std::move(listener));
-  }
+  // Listeners accumulate (the fleet directory client mirrors removals
+  // *alongside* the tiered store's demotion hook, so both must observe the
+  // same removal stream) and fire in registration order.
   void add_removal_listener(std::function<void(const CacheEntry&, RemovalCause)> listener) {
     removal_listeners_.push_back(std::move(listener));
   }
@@ -93,11 +88,7 @@ class CacheStore {
   // Fires after every successful insert (including same-key replacement,
   // after the Replaced removal).  The fleet directory client PUBLISHes new
   // holdings from here; the analytics plane corrects MRC byte footprints.
-  // Same set_/add_ contract as the removal listeners above.
-  void set_insert_listener(std::function<void(const CacheEntry&)> listener) {
-    insert_listeners_.clear();
-    insert_listeners_.push_back(std::move(listener));
-  }
+  // Listeners accumulate like the removal listeners above.
   void add_insert_listener(std::function<void(const CacheEntry&)> listener) {
     insert_listeners_.push_back(std::move(listener));
   }

@@ -10,29 +10,10 @@
 #pragma once
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace ape::common {
-
-// Keys of a map or set, sorted ascending.  Works for ordered containers too
-// (handy while a call site migrates between container types).
-template <typename Container>
-[[nodiscard]] std::vector<typename Container::key_type> sorted_keys(const Container& c) {
-  std::vector<typename Container::key_type> keys;
-  keys.reserve(c.size());
-  for (const auto& item : c) {  // ape-lint: allow(unordered-iter) -- sorted below
-    if constexpr (std::is_same_v<typename Container::key_type,
-                                 typename Container::value_type>) {
-      keys.push_back(item);  // set: value is the key
-    } else {
-      keys.push_back(item.first);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 // (key*, value*) pairs of a map, sorted by key.  Pointers stay valid while
 // the map is not mutated; no keys or values are copied.

@@ -44,13 +44,13 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
       tcp_(tcp),
       node_(node),
       options_(std::move(options)),
-      cpu_(network.simulator(), options_.cpu_cores),
-      freq_(options_.config.alpha, options_.config.frequency_window),
+      cpu_(network.simulator(), kCpuCores),
+      freq_(kAlpha, kFrequencyWindow),
       data_cache_(std::make_unique<cache::CacheStore>(
           options_.config.cache_capacity_bytes,
           make_policy(options_.policy, options_.config, network.simulator(), freq_,
                       options_.observer))),
-      block_list_(options_.config.block_threshold_bytes),
+      block_list_(kBlockThresholdBytes),
       upstream_(network, node, kApUpstreamPort),
       edge_client_(tcp, node),
       observer_(options_.observer),
@@ -97,7 +97,7 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
   // Per-cause removal accounting is always on: pure host-side counters, no
   // simulated work, no export unless the analytics plane is attached.
   // Registered before the tiered store below, whose demotion hook rides the
-  // same listener list (both use add_, neither clobbers the other).
+  // same listener list.
   data_cache_->add_removal_listener(
       [this](const cache::CacheEntry& entry, RemovalCause cause) {
         stats_.record_removal(cause);
@@ -120,17 +120,11 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
       owned_media_ = std::make_unique<store::FlashMedia>();
       options_.flash_media = owned_media_.get();
     }
-    store::FlashDeviceParams dev;
-    dev.read_latency = options_.config.flash_read_latency;
-    dev.write_latency = options_.config.flash_write_latency;
-    dev.read_bandwidth = options_.config.flash_read_bandwidth;
-    dev.write_bandwidth = options_.config.flash_write_bandwidth;
-    flash_device_ = std::make_unique<store::FlashDevice>(network_.simulator(), dev);
+    flash_device_ = std::make_unique<store::FlashDevice>(network_.simulator(),
+                                                         store::FlashDeviceParams{});
 
     store::FlashTierParams tier;
     tier.capacity_bytes = options_.config.flash_capacity_bytes;
-    tier.segment_bytes = options_.config.flash_segment_bytes;
-    tier.compact_dead_ratio = options_.config.flash_compact_dead_ratio;
     flash_tier_ =
         std::make_unique<store::FlashTier>(*flash_device_, *options_.flash_media, tier);
     tiered_ = std::make_unique<store::TieredStore>(network_.simulator(), *data_cache_,
@@ -149,12 +143,12 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
   }
   if (options_.config.sweep_interval.count() > 0) schedule_sweep();
 
-  dns_ = std::make_unique<Dns>(*this, network_, node_, cpu_, options_.config.dns_service_time);
+  dns_ = std::make_unique<Dns>(*this, network_, node_, cpu_, kDnsServiceTime);
   dns_->set_serve_kind(APE_EVT("ap.dns.serve"));
 
   http::ServiceCost cost;
-  cost.base = options_.config.http_service_base;
-  cost.per_kilobyte = options_.config.http_service_per_kb;
+  cost.base = kHttpServiceBase;
+  cost.per_kilobyte = kHttpServicePerKb;
   http_ = std::make_unique<http::HttpServer>(tcp_, node_, net::kHttpPort, cpu_, cost);
   http_->set_serve_kind(APE_EVT("ap.http.serve"));
   http_->set_fallback([this](const http::HttpRequest& req, net::Endpoint,
@@ -278,17 +272,16 @@ void ApRuntime::reset_cache() {
 // ---------------------------------------------------------------- memory
 
 std::size_t ApRuntime::memory_bytes() const {
-  const ApeConfig& c = options_.config;
-  std::size_t total = c.base_memory_bytes;
-  total += flows_ * c.per_flow_bytes;
-  total += tcp_.server_connection_count(node_) * c.per_connection_bytes;
+  std::size_t total = kBaseMemoryBytes;
+  total += flows_ * kPerFlowBytes;
+  total += tcp_.server_connection_count(node_) * kPerConnectionBytes;
   if (options_.enable_ape) {
-    total += c.runtime_memory_bytes;
+    total += kRuntimeMemoryBytes;
     total += data_cache_->used_bytes();
-    total += (url_index_.size() + block_list_.size()) * c.per_index_entry_bytes;
+    total += (url_index_.size() + block_list_.size()) * kPerIndexEntryBytes;
     // Flash bodies live on flash, but the tier's index is a RAM structure.
     if (flash_tier_ != nullptr) {
-      total += flash_tier_->entry_count() * c.per_index_entry_bytes;
+      total += flash_tier_->entry_count() * kPerIndexEntryBytes;
     }
   }
   return total;
@@ -370,7 +363,7 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
   // Charge the marginal cache-lookup cost on top of the base DNS service
   // time already paid in DnsServer::on_datagram.
   hot_.dns_cache_queries.add();
-  cpu_.submit(options_.config.cache_lookup_extra,
+  cpu_.submit(kCacheLookupExtra,
               [this, query, domain, lookup_span, requested = view.value().entries,
                respond = std::move(respond)]() mutable {
     const FlagSet flags = collect_flags(domain, requested);
@@ -408,7 +401,7 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
       const sim::Time now = network_.simulator().now();
       const auto remaining = resolved.value().expires - now;
       const std::uint32_t ttl = std::min<std::uint32_t>(
-          options_.config.dns_answer_ttl_cap,
+          kDnsAnswerTtlCap,
           static_cast<std::uint32_t>(std::max<std::int64_t>(
               0, static_cast<std::int64_t>(sim::to_seconds(remaining)))));
       answer_with_ip(query, domain, resolved.value().ip, ttl, std::move(additionals),

@@ -50,7 +50,6 @@ class ApRuntime {
     net::Endpoint upstream_dns;   // the ISP's LDNS
     bool enable_ape = true;       // false = stock dnsmasq forwarder only
     Policy policy = Policy::Pacm;
-    std::size_t cpu_cores = 2;    // MT7621A is dual-core
     // Nullable observability sink ("ap.*" metrics, cache/DNS trace events);
     // also forwarded into the PACM policy when `policy == Policy::Pacm`.
     obs::Observer* observer = nullptr;
@@ -75,7 +74,7 @@ class ApRuntime {
   // --- model/introspection ----------------------------------------------
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
   [[nodiscard]] sim::ServiceQueue& cpu() noexcept { return cpu_; }
-  [[nodiscard]] std::size_t cpu_cores() const noexcept { return options_.cpu_cores; }
+  [[nodiscard]] std::size_t cpu_cores() const noexcept { return kCpuCores; }
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] cache::CacheStatistics& lookup_stats() noexcept { return stats_; }
   [[nodiscard]] const cache::CacheStore& data_cache() const noexcept { return *data_cache_; }
@@ -101,7 +100,6 @@ class ApRuntime {
   // forwarding.  Charged asynchronously (DMA overlap) so it loads the CPU
   // without delaying the in-flight response.
   void account_served_bytes(std::size_t bytes);
-  void set_active_flows(std::size_t flows) noexcept { flows_ = flows; }
   [[nodiscard]] std::size_t active_flows() const noexcept { return flows_; }
 
   // Fully resets cache state between experiment runs.

@@ -92,7 +92,7 @@ PacmDecision PacmSolver::select_evictions(
     if (!config_.pacm_use_priority) object.priority = 1;  // ablation
     utilities[i] = utility(object, frequency_of(object.app, frequencies));
   }
-  const std::size_t dp_budget = config_.pacm_force_greedy ? 1 : config_.knapsack_dp_budget;
+  const std::size_t dp_budget = config_.pacm_force_greedy ? 1 : kKnapsackDpBudget;
 
   std::vector<bool> kept(cached.size(), false);
 

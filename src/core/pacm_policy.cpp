@@ -62,9 +62,9 @@ std::optional<std::vector<std::string>> PacmPolicy::select_victims(
 
   // The solver caps the kept set at (C - S), so evicting its complement
   // always frees at least `bytes_needed`.
-  last_ = solver_.select_evictions(cached, incoming.size_bytes, frequencies);
+  PacmDecision decision = solver_.select_evictions(cached, incoming.size_bytes, frequencies);
   if (observer_ != nullptr) observer_->spans().close(solve_span, now);
-  return last_.evict;
+  return std::move(decision.evict);
 }
 
 }  // namespace ape::core

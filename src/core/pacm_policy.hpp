@@ -43,7 +43,6 @@ class PacmPolicy final : public cache::EvictionPolicy {
     demotion_latency_ms_ = std::move(fn);
   }
 
-  [[nodiscard]] const PacmDecision& last_decision() const noexcept { return last_; }
   [[nodiscard]] std::size_t invocations() const noexcept { return invocations_; }
 
  private:
@@ -53,7 +52,6 @@ class PacmPolicy final : public cache::EvictionPolicy {
   APE_SHARD_SHARED obs::Observer* observer_ = nullptr;
   APE_SHARD_LOCAL(ap) std::function<double(const cache::CacheEntry&)> demotion_latency_ms_;
   APE_SHARD_LOCAL(ap) PacmSolver solver_;
-  APE_SHARD_LOCAL(ap) PacmDecision last_;
   APE_SHARD_LOCAL(ap) std::size_t invocations_ = 0;
 };
 

@@ -17,24 +17,6 @@ void AnnotatedApp::attach(ClientRuntime& runtime) const {
   for (const auto& field : fields_) runtime.register_cacheable(field.spec);
 }
 
-void ApiBasedClient::invoke_http_request_async(const std::string& url, int priority,
-                                               std::uint32_t ttl_minutes,
-                                               ClientRuntime::FetchHandler handler) {
-  ++calls_;
-  // The API model must (re)declare the object at every call site; the
-  // runtime workflow afterwards is identical.
-  auto parsed = http::Url::parse(url);
-  if (parsed) {
-    CacheableSpec spec;
-    spec.id = parsed.value().base();
-    spec.priority = priority;
-    spec.ttl_minutes = ttl_minutes;
-    spec.app = app_;
-    runtime_.register_cacheable(std::move(spec));
-  }
-  runtime_.fetch(url, std::move(handler));
-}
-
 ProgrammingEffort measure_effort(const AnnotatedApp& app, std::size_t request_sites) {
   ProgrammingEffort effort;
   effort.app = app.name();

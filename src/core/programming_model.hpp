@@ -8,8 +8,8 @@
 // @Cacheable line in the Java reference implementation.
 //
 // API-based alternative: every call site is rewritten to
-// invoke_http_request_async(url, priority, TTL) — the model whose
-// programming cost Table VII quantifies.
+// invoke_http_request_async(url, priority, TTL).  Only its programming cost
+// is modelled here — measure_effort counts it for Table VII.
 #pragma once
 
 #include <string>
@@ -49,28 +49,6 @@ class AnnotatedApp {
   APE_SHARD_LOCAL(client) std::string name_;
   APE_SHARD_LOCAL(client) AppId id_;
   APE_SHARD_LOCAL(client) std::vector<Field> fields_;
-};
-
-// The API-based model: callers must thread priority/TTL through every
-// request site (and therefore rewrite their fetch logic).
-class ApiBasedClient {
-  APE_SHARD_CONTEXT(client);
-
- public:
-  explicit ApiBasedClient(ClientRuntime& runtime, AppId app)
-      : runtime_(runtime), app_(app) {}
-
-  // Mirrors `String invokeHttpRequestAsync(String url, int priority, int TTL)`.
-  void invoke_http_request_async(const std::string& url, int priority,
-                                 std::uint32_t ttl_minutes,
-                                 ClientRuntime::FetchHandler handler);
-
-  [[nodiscard]] std::size_t call_sites_used() const noexcept { return calls_; }
-
- private:
-  APE_SHARD_LOCAL(client) ClientRuntime& runtime_;
-  APE_SHARD_LOCAL(client) AppId app_;
-  APE_SHARD_LOCAL(client) std::size_t calls_ = 0;
 };
 
 // Table VII accounting for one app under each model.

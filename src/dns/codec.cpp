@@ -28,11 +28,6 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
-void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
-  out_.at(offset) = static_cast<std::uint8_t>(v >> 8);
-  out_.at(offset + 1) = static_cast<std::uint8_t>(v);
-}
-
 // ---------------------------------------------------------------- reader
 
 Result<std::uint8_t> ByteReader::u8() {

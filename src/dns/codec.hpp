@@ -31,9 +31,6 @@ class ByteWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(out_); }
   [[nodiscard]] const std::vector<std::uint8_t>& view() const noexcept { return out_; }
 
-  // Overwrites a previously written big-endian u16 at `offset`.
-  void patch_u16(std::size_t offset, std::uint16_t v);
-
  private:
   std::vector<std::uint8_t> out_;
 };

@@ -85,10 +85,6 @@ void StubResolver::resolve(const DnsName& name, ResolveHandler handler) {
                 });
 }
 
-void StubResolver::query_raw(DnsMessage message, DnsClient::QueryHandler handler) {
-  client_.query(server_, std::move(message), std::move(handler));
-}
-
 Result<ResolveResult> StubResolver::extract_address(const DnsMessage& response,
                                                     const DnsName& queried) {
   if (response.header.rcode != Rcode::NoError) {

@@ -80,12 +80,7 @@ class StubResolver {
   // Standard A-record resolution, following CNAMEs within the response.
   void resolve(const DnsName& name, ResolveHandler handler);
 
-  // Raw escape hatch: the APE-CACHE client runtime builds DNS-Cache queries
-  // itself and needs the unmodified response.
-  void query_raw(DnsMessage message, DnsClient::QueryHandler handler);
-
   [[nodiscard]] net::Endpoint server() const noexcept { return server_; }
-  void set_server(net::Endpoint server) noexcept { server_ = server; }
 
   // Extracts the effective A record from a response, following the CNAME
   // chain; exposed for reuse by higher layers.

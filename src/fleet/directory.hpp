@@ -152,7 +152,6 @@ class DirectoryClient final : public core::PeerResolver {
   // --- introspection -------------------------------------------------------
   [[nodiscard]] std::uint32_t ap_id() const noexcept { return options_.ap_id; }
   [[nodiscard]] const std::set<std::string>& holdings() const noexcept { return holdings_; }
-  [[nodiscard]] std::size_t pending_lookups() const noexcept { return inflight_.size(); }
   [[nodiscard]] std::uint64_t shard_epoch(std::size_t shard) const {
     return shard_epochs_.at(shard);
   }

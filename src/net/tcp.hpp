@@ -51,7 +51,6 @@ class TcpConnection {
   void send_request(TcpMessage request, ResponseHandler on_response);
 
   [[nodiscard]] NodeId client_node() const noexcept { return client_; }
-  [[nodiscard]] Endpoint server_endpoint() const noexcept { return server_ep_; }
   [[nodiscard]] bool open() const noexcept { return open_; }
   void close();
 

@@ -16,12 +16,12 @@
 // Attribution carries an exact partition invariant, same contract style as
 // the Timeline's delta-sum identity: sum over apps of hits/misses/
 // delegations equals the plane's totals equals CacheStatistics' totals —
-// reconcile() re-checks it and tools/mrc_report.py --validate re-checks it
-// again offline.
+// reconcile() re-checks it and `tools/obs_report.py mrc --validate`
+// re-checks it again offline.
 //
 // Keys/apps arrive as plain strings because obs sits *below* cache in the
-// layer map (same pattern as EngineProfiler's NetPathStats); the removal
-// cause is the cache's own RemovalCause, which lives in common/.
+// layer map; the removal cause is the cache's own RemovalCause, which lives
+// in common/.
 #pragma once
 
 #include <array>

@@ -304,14 +304,6 @@ void write_json(std::ostream& out, const MetricsRegistry& registry,
         << ",\"generation_wraps\":" << sim.generation_wraps()
         << ",\"smallfn_heap_fallbacks\":" << sim.smallfn_heap_fallbacks()
         << ",\"pending_at_end\":" << sim.pending() << "}";
-    if (const NetPathStats* net = prof.net_stats(); net != nullptr) {
-      out << ",\"net\":{\"datagrams_sent\":" << net->datagrams_sent
-          << ",\"datagrams_delivered\":" << net->datagrams_delivered
-          << ",\"datagrams_dropped\":" << net->datagrams_dropped
-          << ",\"bytes_copied\":" << net->bytes_copied
-          << ",\"arena_slots\":" << net->arena_slots
-          << ",\"arena_reuse\":" << net->arena_reuse << "}";
-    }
     // Host-time readings are volatile by nature; the subsection only exists
     // when the wallclock stratum was switched on, so profile-off and
     // wallclock-off snapshots stay byte-reproducible.
@@ -406,27 +398,6 @@ std::string to_json(const MetricsRegistry& registry, const ExportOptions& option
   std::ostringstream os;
   write_json(os, registry, options);
   return os.str();
-}
-
-void write_csv(std::ostream& out, const MetricsRegistry& registry, bool include_volatile) {
-  out << "name,kind,field,value\n";
-  for (const auto& [name, counter] : registry.counters()) {
-    out << name << ",counter,value," << counter.value() << "\n";
-  }
-  for (const auto& [name, entry] : registry.gauges()) {
-    if (entry.volatility == Volatility::Volatile && !include_volatile) continue;
-    out << name << ",gauge,value," << format_double(entry.gauge.value()) << "\n";
-    out << name << ",gauge,max," << format_double(entry.gauge.max()) << "\n";
-  }
-  for (const auto& [name, entry] : registry.histograms()) {
-    if (entry.volatility == Volatility::Volatile && !include_volatile) continue;
-    const stats::Histogram& h = entry.histogram;
-    out << name << ",histogram,count," << h.count() << "\n";
-    out << name << ",histogram,mean," << format_double(h.mean()) << "\n";
-    out << name << ",histogram,p50," << format_double(h.percentile(0.50)) << "\n";
-    out << name << ",histogram,p95," << format_double(h.percentile(0.95)) << "\n";
-    out << name << ",histogram,p99," << format_double(h.percentile(0.99)) << "\n";
-  }
 }
 
 bool write_json_file(const std::string& path, const MetricsRegistry& registry,

@@ -24,7 +24,6 @@
 //                                 "generation_wraps": <n>,
 //                                 "smallfn_heap_fallbacks": <n>,
 //                                 "pending_at_end": <n> },
-//                     "net": { "datagrams_sent": <n>, ... },       // when fed
 //                     "wallclock": { "enabled": true, "kinds":
 //                         {"<kind>": <host-us>, ...} } }  // opt-in, volatile
 //     "timeseries": { "interval_us": <int>, "windows":
@@ -119,11 +118,6 @@ void write_json(std::ostream& out, const MetricsRegistry& registry,
 
 [[nodiscard]] std::string to_json(const MetricsRegistry& registry,
                                   const ExportOptions& options = {});
-
-// Flat rows `name,kind,field,value` (kind in {counter, gauge, histogram}),
-// one line per scalar — trivially ingestible by spreadsheets / pandas.
-void write_csv(std::ostream& out, const MetricsRegistry& registry,
-               bool include_volatile = false);
 
 // Writes the JSON snapshot to `path`; returns false when the file cannot
 // be opened.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/observer.hpp"
-
 namespace ape::obs {
 
 namespace {
@@ -33,10 +31,6 @@ EngineProfiler::~EngineProfiler() { sim_.set_profile_sink(nullptr); }
 void EngineProfiler::enable_wallclock(bool on) {
   wallclock_ = on;
   sink_.set_clock(on ? &host_clock_ns : nullptr);
-}
-
-void EngineProfiler::follow_wallclock(const Observer& observer) {
-  enable_wallclock(observer.wallclock_enabled());
 }
 
 std::vector<EngineProfiler::KindRow> EngineProfiler::rows() const {
@@ -74,14 +68,6 @@ void EngineProfiler::record_metrics(MetricsRegistry& registry) const {
   registry.counter("profile.engine.smallfn_heap_fallbacks")
       .set(sim_.smallfn_heap_fallbacks());
   registry.counter("profile.engine.pending_at_end").set(sim_.pending());
-  if (has_net_) {
-    registry.counter("profile.net.datagrams_sent").set(net_.datagrams_sent);
-    registry.counter("profile.net.datagrams_delivered").set(net_.datagrams_delivered);
-    registry.counter("profile.net.datagrams_dropped").set(net_.datagrams_dropped);
-    registry.counter("profile.net.bytes_copied").set(net_.bytes_copied);
-    registry.counter("profile.net.arena_slots").set(net_.arena_slots);
-    registry.counter("profile.net.arena_reuse").set(net_.arena_reuse);
-  }
 }
 
 }  // namespace ape::obs

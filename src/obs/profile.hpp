@@ -5,10 +5,9 @@
 // per-KindId tallies into named, export-ready data.  Two strata:
 //
 //   * Stable counters (always on while mounted): per-kind schedule/cancel/
-//     fire counts and SmallFn heap fallbacks, the simulator's engine
+//     fire counts and SmallFn heap fallbacks, and the simulator's engine
 //     mechanics (far-heap migrations, wheel re-bucketing, arena high-water
-//     and slot reuse, generation wraps), and — when a caller feeds them —
-//     the net path's datagram-arena stats.  Pure simulation facts: byte-
+//     and slot reuse, generation wraps).  Pure simulation facts: byte-
 //     identical run to run, mirrored into `profile.*` counters so
 //     check_bench_regression.py can gate them at 0 tolerance.
 //
@@ -16,10 +15,6 @@
 //     WallClockTimer): host nanoseconds spent inside each kind's callbacks.
 //     Exported only in the "wallclock" subsection of the "profile" export
 //     section, never in a stable section.
-//
-// Net-path stats arrive via set_net_stats rather than a net::Network
-// reference because obs sits *below* net in the layer map; the bench or
-// testbed that owns both hands the counters down before export.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +27,6 @@
 
 namespace ape::obs {
 
-class Observer;
-
-// Plain mirror of net::Network's datagram counters (see Network::counters).
-struct NetPathStats {
-  std::uint64_t datagrams_sent = 0;
-  std::uint64_t datagrams_delivered = 0;
-  std::uint64_t datagrams_dropped = 0;
-  std::uint64_t bytes_copied = 0;  // payload bytes staged through the in-flight arena
-  std::uint64_t arena_slots = 0;   // in-flight arena high-water (slots ever allocated)
-  std::uint64_t arena_reuse = 0;   // freelist reuses of a parked slot
-};
-
 class EngineProfiler {
  public:
   // Mounts on `sim` for the profiler's lifetime.  One profiler per
@@ -53,20 +36,10 @@ class EngineProfiler {
   EngineProfiler(const EngineProfiler&) = delete;
   EngineProfiler& operator=(const EngineProfiler&) = delete;
 
-  // Opt into host-time bracketing of every fired callback.  Follows the
-  // Observer::enable_wallclock gate; the no-argument overload reads it off
-  // an observer directly.
+  // Opt into host-time bracketing of every fired callback, under the same
+  // contract as Observer::enable_wallclock.
   void enable_wallclock(bool on);
-  void follow_wallclock(const Observer& observer);
   [[nodiscard]] bool wallclock_enabled() const noexcept { return wallclock_; }
-
-  void set_net_stats(const NetPathStats& stats) {
-    net_ = stats;
-    has_net_ = true;
-  }
-  [[nodiscard]] const NetPathStats* net_stats() const noexcept {
-    return has_net_ ? &net_ : nullptr;
-  }
 
   struct KindRow {
     std::string name;
@@ -79,15 +52,13 @@ class EngineProfiler {
   [[nodiscard]] const sim::Simulator& simulator() const noexcept { return sim_; }
 
   // Mirrors the stable stratum into `profile.*` counters (per-kind counts
-  // under profile.kind.<name>.*, engine mechanics under profile.engine.*,
-  // net stats under profile.net.*).  Never touches wallclock data.
+  // under profile.kind.<name>.*, engine mechanics under profile.engine.*).
+  // Never touches wallclock data.
   void record_metrics(MetricsRegistry& registry) const;
 
  private:
   sim::Simulator& sim_;
   sim::ProfileSink sink_;
-  NetPathStats net_{};
-  bool has_net_ = false;
   bool wallclock_ = false;
 };
 

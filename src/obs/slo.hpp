@@ -22,7 +22,7 @@
 //   Firing --M consecutive holds--> Inactive            ("resolved")
 //
 // Every state change is appended to a transition log keyed by window index;
-// tools/timeline_report.py --validate replays the log and rejects illegal
+// `tools/obs_report.py timeline --validate` replays the log and rejects illegal
 // sequences (a resolve without a prior firing, a from-state that does not
 // match the previous to-state).
 #pragma once

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
-
-#include "obs/export.hpp"
 
 namespace ape::obs {
 
@@ -141,28 +138,6 @@ std::vector<std::string> Timeline::reconcile(const MetricsRegistry& registry) co
 void Timeline::clear() {
   windows_.clear();
   cursor_.reset();
-}
-
-void write_timeseries_csv(std::ostream& out, const Timeline& timeline) {
-  out << "window,start_us,end_us,kind,name,field,value\n";
-  for (const TimelineWindow& w : timeline.windows()) {
-    const std::string prefix = std::to_string(w.index) + "," +
-                               std::to_string(w.start.since_epoch.count()) + "," +
-                               std::to_string(w.end.since_epoch.count()) + ",";
-    for (const auto& [name, delta] : w.counter_deltas) {
-      out << prefix << "counter," << name << ",delta," << delta << "\n";
-    }
-    for (const auto& [name, value] : w.gauges) {
-      out << prefix << "gauge," << name << ",value," << format_double(value) << "\n";
-    }
-    for (const auto& [name, s] : w.histograms) {
-      out << prefix << "histogram," << name << ",count," << s.count << "\n";
-      out << prefix << "histogram," << name << ",mean," << format_double(s.mean) << "\n";
-      out << prefix << "histogram," << name << ",p50," << format_double(s.p50) << "\n";
-      out << prefix << "histogram," << name << ",p95," << format_double(s.p95) << "\n";
-      out << prefix << "histogram," << name << ",p99," << format_double(s.p99) << "\n";
-    }
-  }
 }
 
 }  // namespace ape::obs

@@ -17,7 +17,7 @@
 // total exactly, and summing histogram window counts reproduces the final
 // sample count.  reconcile() checks that identity (plus window
 // monotonicity) and is asserted by `bench_smoke --timeline-out`, re-checked
-// offline by tools/timeline_report.py --validate.  Bypassing the cursor
+// offline by `tools/obs_report.py timeline --validate`.  Bypassing the cursor
 // with a direct registry read would double-count — the `cursor-bypass`
 // ape-lint check forbids it statically.
 //
@@ -103,9 +103,5 @@ class Timeline {
   DeltaCursor cursor_;
   std::vector<TimelineWindow> windows_;
 };
-
-// Flat per-window rows `window,start_us,end_us,kind,name,field,value` —
-// the time-series sibling of obs::write_csv.
-void write_timeseries_csv(std::ostream& out, const Timeline& timeline);
 
 }  // namespace ape::obs

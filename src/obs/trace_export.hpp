@@ -5,7 +5,7 @@
 // span with microsecond ts/dur, pid 1, and one tid per emitting component
 // (named via thread_name metadata events), so the per-hop lanes read like
 // a distributed-trace waterfall.  Span identity/causality ride in `args`
-// ({trace, span, parent, key}) — that is what tools/trace_report.py uses
+// ({trace, span, parent, key}) — that is what `tools/obs_report.py trace` uses
 // to rebuild the trees and re-check attribution offline.
 //
 // Output is deterministic: components are lane-ordered by name, events by

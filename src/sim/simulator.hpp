@@ -67,7 +67,6 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] QueueKind queue_kind() const noexcept { return kind_; }
 
   // Schedules `fn` at absolute time `at`; times in the past are clamped to
   // "now" (the event still fires, after currently queued same-time events).
@@ -129,10 +128,8 @@ class Simulator {
   // advanced, and wheel-bucket entries re-bucketed into the near heap.
   [[nodiscard]] std::size_t far_migrations() const noexcept { return far_migrations_; }
   [[nodiscard]] std::size_t wheel_rebuckets() const noexcept { return wheel_rebuckets_; }
-  // Current calendar occupancy split (BinaryHeap runs report zeros).
-  [[nodiscard]] std::size_t near_events() const noexcept { return near_.size(); }
+  // Current calendar-wheel occupancy (BinaryHeap runs report zeros).
   [[nodiscard]] std::size_t wheel_events() const noexcept { return wheel_count_; }
-  [[nodiscard]] std::size_t far_events() const noexcept { return far_.size(); }
   [[nodiscard]] std::size_t wheel_occupied_buckets() const noexcept;
 
   // Test-only: overwrite a slot's generation so wraparound paths are

@@ -30,7 +30,6 @@ void FlashDevice::read(std::size_t bytes, sim::ServiceQueue::Callback done) {
 
 void FlashDevice::write(std::size_t bytes, sim::ServiceQueue::Callback done) {
   ++writes_;
-  bytes_written_ += bytes;
   queue_.submit(write_cost(bytes), std::move(done), APE_EVT("ap.flash.write"));
 }
 
@@ -42,7 +41,6 @@ void FlashDevice::read_async(std::size_t bytes) {
 
 void FlashDevice::write_async(std::size_t bytes) {
   ++writes_;
-  bytes_written_ += bytes;
   queue_.submit(write_cost(bytes), APE_EVT("ap.flash.write"));
 }
 

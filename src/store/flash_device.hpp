@@ -55,7 +55,6 @@ class FlashDevice {
   [[nodiscard]] std::size_t reads() const noexcept { return reads_; }
   [[nodiscard]] std::size_t writes() const noexcept { return writes_; }
   [[nodiscard]] std::uint64_t bytes_read() const noexcept { return bytes_read_; }
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   [[nodiscard]] sim::Duration busy_time() const noexcept { return queue_.busy_time(); }
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.queued(); }
 
@@ -68,7 +67,6 @@ class FlashDevice {
   std::size_t reads_ = 0;
   std::size_t writes_ = 0;
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
 };
 
 }  // namespace ape::store

@@ -273,8 +273,7 @@ TEST_F(ApFixture, ResetCacheRestoresColdState) {
   fetch("http://api.two.example/alpha");
   bed->ap().reset_cache();
   EXPECT_EQ(bed->ap().data_cache().entry_count(), 0u);
-  EXPECT_EQ(bed->ap().memory_bytes(),
-            bed->ap().config().base_memory_bytes + bed->ap().config().runtime_memory_bytes);
+  EXPECT_EQ(bed->ap().memory_bytes(), kBaseMemoryBytes + kRuntimeMemoryBytes);
   const auto result = fetch("http://api.two.example/alpha");
   EXPECT_EQ(result.source, ClientRuntime::Source::ApDelegated);
 }

@@ -94,7 +94,7 @@ TEST(CacheStore, RemovalListenerFires) {
   CacheStore store(250, std::make_unique<LruPolicy>());
   std::vector<std::string> removed;
   std::vector<RemovalCause> causes;
-  store.set_removal_listener([&](const CacheEntry& e, RemovalCause cause) {
+  store.add_removal_listener([&](const CacheEntry& e, RemovalCause cause) {
     removed.push_back(e.key);
     causes.push_back(cause);
   });

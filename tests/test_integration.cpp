@@ -133,7 +133,7 @@ TEST(Integration, ApOverheadStaysModest) {
   EXPECT_LT(meter.peak_cpu(), 0.5);
   const double extra_mb =
       meter.peak_memory_mb() -
-      static_cast<double>(bed.ap().config().base_memory_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(core::kBaseMemoryBytes) / (1024.0 * 1024.0);
   EXPECT_LT(extra_mb, 30.0);
   EXPECT_GT(extra_mb, 0.0);
 }

@@ -3,7 +3,6 @@
 // runs export byte-identical stable sections).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "obs/export.hpp"
@@ -146,17 +145,6 @@ TEST(ObsExport, VolatileSectionOnlyOnRequest) {
   const std::string with_volatile = obs::to_json(registry, options);
   EXPECT_NE(with_volatile.find("\"volatile\""), std::string::npos);
   EXPECT_NE(with_volatile.find("wall_us"), std::string::npos);
-}
-
-TEST(ObsExport, CsvEmitsOneRowPerScalar) {
-  obs::MetricsRegistry registry;
-  registry.counter("hits").add(3);
-  registry.gauge("depth").set(2.0);
-  std::ostringstream out;
-  obs::write_csv(out, registry);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("hits,counter,value,3"), std::string::npos);
-  EXPECT_NE(csv.find("depth,gauge,value,2"), std::string::npos);
 }
 
 // --- Observer + determinism end-to-end ------------------------------------

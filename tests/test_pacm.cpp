@@ -374,7 +374,7 @@ TEST(PacmPolicy, IntegratesWithCacheStore) {
   sim::Simulator sim;
   ApeConfig config;
   config.cache_capacity_bytes = 10'000;
-  FrequencyTracker freq(config.alpha, config.frequency_window);
+  FrequencyTracker freq(kAlpha, kFrequencyWindow);
   cache::CacheStore store(config.cache_capacity_bytes,
                           std::make_unique<PacmPolicy>(config, sim, freq));
 
@@ -414,7 +414,7 @@ TEST(PacmPolicy, ExpiredObjectsHaveZeroUtilityAndGoFirst) {
   sim::Simulator sim;
   ApeConfig config;
   config.cache_capacity_bytes = 10'000;
-  FrequencyTracker freq(config.alpha, config.frequency_window);
+  FrequencyTracker freq(kAlpha, kFrequencyWindow);
   cache::CacheStore store(config.cache_capacity_bytes,
                           std::make_unique<PacmPolicy>(config, sim, freq));
 

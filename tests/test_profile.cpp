@@ -265,24 +265,6 @@ TEST(ProfileExport, WallclockSubsectionFollowsTheGate) {
   EXPECT_NE(out.str().find("\"wallclock\":{\"enabled\":true"), std::string::npos);
 }
 
-TEST(ProfileExport, NetSectionAppearsWhenFed) {
-  Simulator sim;
-  obs::EngineProfiler profiler(sim);
-  EXPECT_EQ(profiler.net_stats(), nullptr);
-
-  obs::NetPathStats net;
-  net.datagrams_sent = 7;
-  net.bytes_copied = 4096;
-  profiler.set_net_stats(net);
-
-  obs::MetricsRegistry m;
-  obs::ExportOptions options;
-  options.profile = &profiler;
-  std::ostringstream out;
-  obs::write_json(out, m, options);
-  EXPECT_NE(out.str().find("\"net\":{\"datagrams_sent\":7"), std::string::npos);
-}
-
 // ------------------------------------------------- shared sim metrics
 
 TEST(SimMetrics, SharedHelperExportsEnginePressureGauges) {

@@ -244,7 +244,7 @@ TEST_P(PacmProperty, StoreWithPacmNeverExceedsCapacityUnderChurn) {
   sim::Simulator simulator;
   core::ApeConfig config;
   config.cache_capacity_bytes = 100'000;
-  core::FrequencyTracker freq(config.alpha, config.frequency_window);
+  core::FrequencyTracker freq(core::kAlpha, core::kFrequencyWindow);
   cache::CacheStore store(config.cache_capacity_bytes,
                           std::make_unique<core::PacmPolicy>(config, simulator, freq));
   sim::Rng rng(GetParam());

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
-#include "stats/csv.hpp"
-#include "stats/ewma.hpp"
 #include "stats/gini.hpp"
 #include "stats/histogram.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
 
 namespace ape::stats {
@@ -141,65 +137,6 @@ TEST(Histogram, BucketsDegenerateAllEqual) {
   EXPECT_EQ(buckets[0], 7u);
 }
 
-// ------------------------------------------------------------- Summary
-
-TEST(Summary, OfHistogram) {
-  Histogram h;
-  for (int i = 1; i <= 10; ++i) h.record(static_cast<double>(i));
-  const Summary s = Summary::of(h);
-  EXPECT_EQ(s.count, 10u);
-  EXPECT_DOUBLE_EQ(s.mean, 5.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 10.0);
-  EXPECT_GT(s.p95, s.p50);
-}
-
-TEST(Summary, ToStringContainsFields) {
-  Histogram h;
-  h.record(2.0);
-  const std::string text = Summary::of(h).to_string();
-  EXPECT_NE(text.find("mean="), std::string::npos);
-  EXPECT_NE(text.find("p95="), std::string::npos);
-}
-
-// ---------------------------------------------------------------- Ewma
-
-TEST(Ewma, FirstObservationSeeds) {
-  Ewma e(0.7);
-  e.observe(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  EXPECT_TRUE(e.seeded());
-}
-
-TEST(Ewma, PaperFormulaWeightsNewestByAlpha) {
-  // R = (1 - alpha) * R' + alpha * r  with alpha = 0.7 (paper Sec. IV-C).
-  Ewma e(0.7);
-  e.observe(10.0);
-  e.observe(20.0);
-  EXPECT_DOUBLE_EQ(e.value(), 0.3 * 10.0 + 0.7 * 20.0);
-}
-
-TEST(Ewma, AlphaClamped) {
-  Ewma e(3.0);
-  EXPECT_DOUBLE_EQ(e.alpha(), 1.0);
-  Ewma f(-1.0);
-  EXPECT_DOUBLE_EQ(f.alpha(), 0.0);
-}
-
-TEST(Ewma, ResetClears) {
-  Ewma e(0.5);
-  e.observe(4.0);
-  e.reset();
-  EXPECT_FALSE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.value(), 0.0);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma e(0.7);
-  for (int i = 0; i < 50; ++i) e.observe(42.0);
-  EXPECT_NEAR(e.value(), 42.0, 1e-9);
-}
-
 // ---------------------------------------------------------------- Gini
 
 TEST(Gini, EmptyIsZero) {
@@ -283,25 +220,6 @@ TEST(Table, HandlesRaggedRows) {
   Table t;
   t.header({"x", "y", "z"}).row({"only-one"});
   EXPECT_NE(t.to_string().find("only-one"), std::string::npos);
-}
-
-// ----------------------------------------------------------------- CSV
-
-TEST(Csv, PlainCells) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.row({"a", "b", "c"});
-  EXPECT_EQ(os.str(), "a,b,c\n");
-}
-
-TEST(Csv, EscapesCommasAndQuotes) {
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-}
-
-TEST(Csv, EscapesNewlines) {
-  EXPECT_EQ(CsvWriter::escape("a\nb"), "\"a\nb\"");
 }
 
 }  // namespace

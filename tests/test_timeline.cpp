@@ -3,7 +3,6 @@
 // testbed's capture tick into its SLO evaluator.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "obs/export.hpp"
 #include "obs/slo.hpp"
@@ -130,24 +129,6 @@ TEST(Timeline, ReconcileDetectsPostCaptureMutation) {
   EXPECT_FALSE(timeline.reconcile(m).empty());
   timeline.capture(m, sim::Time{sim::seconds(60.0)});
   EXPECT_TRUE(timeline.reconcile(m).empty());
-}
-
-TEST(Timeline, CsvExportEmitsPerWindowRows) {
-  MetricsRegistry m;
-  Timeline timeline;
-  timeline.set_enabled(true);
-  m.counter("hits").add(2);
-  m.gauge("ratio").set(0.5);
-  m.histogram("lat_ms", "ms").record(7.0);
-  timeline.capture(m, sim::Time{sim::seconds(30.0)});
-
-  std::ostringstream out;
-  write_timeseries_csv(out, timeline);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("window,start_us,end_us,kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,hits,delta,2"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,ratio,value,0.5"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat_ms,count,1"), std::string::npos);
 }
 
 // ------------------------------------------------------------ SLO rules

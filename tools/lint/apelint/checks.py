@@ -299,9 +299,8 @@ def check_unordered_iter(sf: SourceFile, symtab: SymbolTable,
                 findings.append(_finding(
                     sf, t.line, "unordered-iter",
                     f"range-for over unordered container `{base}` — iteration "
-                    "order is hash-seed dependent; use common::sorted_keys/"
-                    "sorted_items (src/common/ordered.hpp) or an ordered "
-                    "container"))
+                    "order is hash-seed dependent; use common::sorted_items "
+                    "(src/common/ordered.hpp) or an ordered container"))
         elif t.value in ("begin", "cbegin") and i >= 2 and i + 1 < n \
                 and tokens[i + 1].kind == "punct" and tokens[i + 1].value == "(" \
                 and tokens[i - 1].kind == "punct" and tokens[i - 1].value == "." \
@@ -312,8 +311,8 @@ def check_unordered_iter(sf: SourceFile, symtab: SymbolTable,
                     sf, tokens[i - 2].line, "unordered-iter",
                     f"iterator walk over unordered container `{name}` — "
                     "iteration order is hash-seed dependent; use common::"
-                    "sorted_keys/sorted_items (src/common/ordered.hpp) or an "
-                    "ordered container"))
+                    "sorted_items (src/common/ordered.hpp) or an ordered "
+                    "container"))
     return findings
 
 
