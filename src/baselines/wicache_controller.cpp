@@ -155,16 +155,13 @@ void WiCacheApAgent::prefetch(const std::string& url, net::IpAddress edge_ip) {
         entry.key = key;
         entry.size_bytes = resp.total_body_bytes();
         entry.fetch_latency = now2 - fetch_start;
-        std::uint32_t ttl = 600;
-        if (const auto* v = http::find_header(resp.headers, "X-Object-TTL")) {
-          ttl = static_cast<std::uint32_t>(std::stoul(*v));
-        }
-        if (const auto* v = http::find_header(resp.headers, "X-Object-Priority")) {
-          entry.priority = std::stoi(*v);
-        }
-        if (const auto* v = http::find_header(resp.headers, "X-Object-App")) {
-          entry.app_id = static_cast<std::uint32_t>(std::stoul(*v));
-        }
+        // A malformed header keeps the default, like a missing one.
+        const std::uint32_t ttl =
+            http::header_int<std::uint32_t>(resp.headers, "X-Object-TTL").value_or(600);
+        entry.priority =
+            http::header_int<int>(resp.headers, "X-Object-Priority").value_or(entry.priority);
+        entry.app_id = http::header_int<std::uint32_t>(resp.headers, "X-Object-App")
+                           .value_or(entry.app_id);
         entry.expires = now2 + sim::seconds(ttl);
         if (store_.insert(std::move(entry), now2) == cache::CacheStore::InsertOutcome::Inserted) {
           report("ADD", key);

@@ -310,9 +310,9 @@ void ApRuntime::forward_packet(std::size_t bytes, bool new_flow) {
 
 // ------------------------------------------------------------------- DNS
 
-void ApRuntime::Dns::handle_query(const dns::DnsMessage& query, net::Endpoint client,
+void ApRuntime::Dns::handle_query(dns::DnsMessage query, net::Endpoint client,
                                   Responder respond) {
-  owner_.handle_dns_query(query, client, std::move(respond));
+  owner_.handle_dns_query(std::move(query), client, std::move(respond));
 }
 
 void ApRuntime::answer_with_ip(const dns::DnsMessage& query, const dns::DnsName& name,
@@ -329,7 +329,7 @@ obs::SpanLog* ApRuntime::spans() const {
   return observer_ == nullptr ? nullptr : &observer_->spans();
 }
 
-void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*client*/,
+void ApRuntime::handle_dns_query(dns::DnsMessage query, net::Endpoint /*client*/,
                                  std::function<void(dns::DnsMessage)> respond) {
   auto view = extract_dns_cache(query);
 
@@ -358,13 +358,13 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
   }
 
   // --- DNS-Cache path ----------------------------------------------------
-  const dns::DnsName domain = view.value().domain;
-
   // Charge the marginal cache-lookup cost on top of the base DNS service
-  // time already paid in DnsServer::on_datagram.
+  // time already paid in DnsServer::on_datagram.  The query moves along
+  // with the work: it is only read again to build the response.
   hot_.dns_cache_queries.add();
   cpu_.submit(kCacheLookupExtra,
-              [this, query, domain, lookup_span, requested = view.value().entries,
+              [this, query = std::move(query), domain = std::move(view.value().domain),
+               lookup_span, requested = std::move(view.value().entries),
                respond = std::move(respond)]() mutable {
     const FlagSet flags = collect_flags(domain, requested);
     std::vector<dns::ResourceRecord> additionals;
@@ -389,8 +389,8 @@ void ApRuntime::handle_dns_query(const dns::DnsMessage& query, net::Endpoint /*c
     }
 
     resolve_upstream(domain, lookup_span,
-                     [this, query, domain, additionals = std::move(additionals),
-                      respond = std::move(respond)](
+                     [this, query = std::move(query), domain,
+                      additionals = std::move(additionals), respond = std::move(respond)](
                          Result<DnsCacheEntry> resolved) mutable {
       if (!resolved) {
         dns::DnsMessage resp = dns::make_response_for(query, dns::Rcode::ServFail);
@@ -607,8 +607,9 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
   }
 
   // Request frequency feeds PACM regardless of how the fetch resolves.
-  if (const auto* app_header = http::find_header(request.headers, "X-Ape-App")) {
-    freq_.record_request(static_cast<AppId>(std::stoul(*app_header)), now);
+  // A malformed X-Ape-App counts nowhere, as if the header were missing.
+  if (const auto app = http::header_int<AppId>(request.headers, "X-Ape-App")) {
+    freq_.record_request(app.value(), now);
   }
 
   // Revalidation candidate: look for an expired-but-present entry *before*
@@ -775,19 +776,12 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
                                std::optional<cache::CacheEntry> stale,
                                const obs::TraceContext& parent,
                                http::HttpServer::Responder respond) {
-  // Delegation metadata shipped by the client library (Sec. IV-B2).
-  std::uint32_t ttl_seconds = 600;
-  int priority = 1;
-  AppId app = 0;
-  if (const auto* v = http::find_header(request.headers, "X-Ape-Ttl")) {
-    ttl_seconds = static_cast<std::uint32_t>(std::stoul(*v));
-  }
-  if (const auto* v = http::find_header(request.headers, "X-Ape-Priority")) {
-    priority = std::stoi(*v);
-  }
-  if (const auto* v = http::find_header(request.headers, "X-Ape-App")) {
-    app = static_cast<AppId>(std::stoul(*v));
-  }
+  // Delegation metadata shipped by the client library (Sec. IV-B2).  A
+  // missing or malformed field keeps its default.
+  const std::uint32_t ttl_seconds =
+      http::header_int<std::uint32_t>(request.headers, "X-Ape-Ttl").value_or(600);
+  const int priority = http::header_int<int>(request.headers, "X-Ape-Priority").value_or(1);
+  const AppId app = http::header_int<AppId>(request.headers, "X-Ape-App").value_or(0);
 
   const std::string base = request.url.base();
   auto& info = url_index_[hash];
@@ -858,11 +852,9 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             ++revalidations_;
             hot_.revalidations.add();
             cache::CacheEntry entry = std::move(*stale);
-            std::uint32_t ttl = ttl_seconds;
-            if (const auto* v =
-                    http::find_header(result.value().headers, "X-Object-TTL")) {
-              ttl = static_cast<std::uint32_t>(std::stoul(*v));
-            }
+            const std::uint32_t ttl =
+                http::header_int<std::uint32_t>(result.value().headers, "X-Object-TTL")
+                    .value_or(ttl_seconds);
             entry.expires = now + sim::seconds(ttl);
             const std::size_t size = entry.size_bytes;
             {

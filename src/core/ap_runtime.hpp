@@ -131,7 +131,7 @@ class ApRuntime {
         : dns::DnsServer(network, node, cpu, service_time), owner_(owner) {}
 
    protected:
-    void handle_query(const dns::DnsMessage& query, net::Endpoint client,
+    void handle_query(dns::DnsMessage query, net::Endpoint client,
                       Responder respond) override;
 
    private:
@@ -157,7 +157,7 @@ class ApRuntime {
   // Nullable span sink (null when no observer is attached).
   [[nodiscard]] obs::SpanLog* spans() const;
 
-  void handle_dns_query(const dns::DnsMessage& query, net::Endpoint client,
+  void handle_dns_query(dns::DnsMessage query, net::Endpoint client,
                         std::function<void(dns::DnsMessage)> respond);
   void handle_regular_dns(const dns::DnsMessage& query, const obs::TraceContext& parent,
                           std::function<void(dns::DnsMessage)> respond);

@@ -108,21 +108,22 @@ void ClientRuntime::finish(FetchHandler& handler, const obs::TraceContext& root,
 // ------------------------------------------------------------------ fetch
 
 void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
-  const auto parsed = http::Url::parse(url);
+  auto parsed = http::Url::parse(url);
   if (!parsed) {
     FetchResult r;
     r.error = "bad URL: " + parsed.error().message;
     finish(handler, {}, std::move(r));
     return;
   }
-  const CacheableSpec* spec = find_cacheable(parsed.value().base());
+  const std::string base = parsed.value().base();
+  const CacheableSpec* spec = find_cacheable(base);
   if (!options_.ape_enabled || spec == nullptr) {
     fetch_via_edge(url, std::move(handler));
     return;
   }
 
-  const std::string host = parsed.value().host;
-  const UrlHash hash = hash_url(parsed.value().base());
+  Target target{url, std::move(parsed.value())};
+  const UrlHash hash = hash_url(base);
   const sim::Time start = network_.simulator().now();
   obs::TraceContext root;
   if (obs::SpanLog* log = spans(); log != nullptr) {
@@ -131,21 +132,21 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
   }
 
   // Fresh flags from a previous DNS-Cache response for this domain?
-  if (auto it = domains_.find(host); it != domains_.end()) {
+  if (auto it = domains_.find(target.url.host); it != domains_.end()) {
     if (it->second.expires > start) {
       const auto flag_it = it->second.flags.find(hash);
       // A URL the AP has not reported on yet defaults to Delegation (the
       // AP is always willing to fetch-and-cache an unseen object).
       const CacheFlag flag =
           flag_it == it->second.flags.end() ? CacheFlag::Delegation : flag_it->second;
-      dispatch(url, *spec, flag, it->second.ip, start, sim::Duration{0}, true, root,
-               std::move(handler));
+      dispatch(std::move(target), *spec, flag, it->second.ip, start, sim::Duration{0}, true,
+               root, std::move(handler));
       return;
     }
     domains_.erase(it);
   }
 
-  auto domain = dns::DnsName::parse(host);
+  auto domain = dns::DnsName::parse(target.url.host);
   if (!domain) {
     FetchResult r;
     r.error = "bad hostname";
@@ -153,17 +154,22 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
     return;
   }
 
-  network_.simulator().schedule_in(options_.dns_cache_build_cost, [this, url, spec, hash,
-                                                                   host, start, root,
-                                                                   domain = domain.value(),
+  network_.simulator().schedule_in(options_.dns_cache_build_cost, [this,
+                                                                   target = std::move(target),
+                                                                   spec, hash, start, root,
+                                                                   domain = std::move(
+                                                                       domain.value()),
                                                                    handler = std::move(
                                                                        handler)]() mutable {
   obs::TraceContext dns_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
-    dns_span = log->open(root, "dns.query", "client", host, network_.simulator().now());
+    dns_span = log->open(root, "dns.query", "client", target.url.host,
+                         network_.simulator().now());
   }
-  dns_.query(options_.ap_dns, build_dns_cache_query(domain, {hash}, dns_span),
-             [this, url, spec, hash, host, start, root, dns_span,
+  dns::DnsMessage query = build_dns_cache_query(domain, {hash}, dns_span);
+  dns_.query(options_.ap_dns, std::move(query),
+             [this, target = std::move(target), domain = std::move(domain), spec, hash, start,
+              root, dns_span,
               handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
                if (obs::SpanLog* log = spans(); log != nullptr) {
                  log->close(dns_span, network_.simulator().now());
@@ -173,15 +179,14 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
                  // DNS-Cache lookup failed outright; degrade to the edge
                  // path (same trace root — the failed lookup stays part of
                  // this request's critical path).
-                 resolve_and_fetch_edge(url, network_.simulator().now(), root,
+                 resolve_and_fetch_edge(std::move(target), network_.simulator().now(), root,
                                         std::move(handler));
                  return;
                }
 
                net::IpAddress ip = net::kDummyIp;
                std::uint32_t ttl = 0;
-               if (auto addr = dns::StubResolver::extract_address(
-                       response.value(), dns::DnsName::parse(host).value());
+               if (auto addr = dns::StubResolver::extract_address(response.value(), domain);
                    addr) {
                  ip = addr.value().address;
                  ttl = addr.value().ttl;
@@ -199,41 +204,41 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
                }
                if (ttl > 0 && ip != net::kDummyIp) {
                  state.expires = network_.simulator().now() + sim::seconds(ttl);
-                 domains_[host] = std::move(state);
+                 domains_[target.url.host] = std::move(state);
                }
-               dispatch(url, *spec, flag, ip, start, lookup, false, root,
+               dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,
                         std::move(handler));
              });
   }, APE_EVT("client.dns.cache_build"));
 }
 
-void ClientRuntime::dispatch(const std::string& url, const CacheableSpec& spec, CacheFlag flag,
+void ClientRuntime::dispatch(Target target, const CacheableSpec& spec, CacheFlag flag,
                              net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                              bool lookup_cached, const obs::TraceContext& root,
                              FetchHandler handler) {
   switch (flag) {
     case CacheFlag::CacheHit:
-      fetch_from_ap(url, spec, /*delegate=*/false, edge_ip, start, lookup, lookup_cached, flag,
-                    root, std::move(handler));
+      fetch_from_ap(std::move(target), spec, /*delegate=*/false, edge_ip, start, lookup,
+                    lookup_cached, flag, root, std::move(handler));
       return;
     case CacheFlag::Delegation:
-      fetch_from_ap(url, spec, /*delegate=*/true, edge_ip, start, lookup, lookup_cached, flag,
-                    root, std::move(handler));
+      fetch_from_ap(std::move(target), spec, /*delegate=*/true, edge_ip, start, lookup,
+                    lookup_cached, flag, root, std::move(handler));
       return;
     case CacheFlag::CacheMiss:
-      fetch_from_edge(url, edge_ip, start, lookup, lookup_cached, flag, root,
+      fetch_from_edge(std::move(target), edge_ip, start, lookup, lookup_cached, flag, root,
                       std::move(handler));
       return;
   }
 }
 
-void ClientRuntime::fetch_from_ap(const std::string& url, const CacheableSpec& spec,
-                                  bool delegate, net::IpAddress edge_ip, sim::Time start,
+void ClientRuntime::fetch_from_ap(Target target, const CacheableSpec& spec, bool delegate,
+                                  net::IpAddress edge_ip, sim::Time start,
                                   sim::Duration lookup, bool lookup_cached, CacheFlag flag,
                                   const obs::TraceContext& root, FetchHandler handler) {
-  auto parsed = http::Url::parse(url);
   http::HttpRequest req;
-  req.url = std::move(parsed.value());
+  req.url = target.url;  // the target stays whole for the edge fallback
+  req.headers.reserve(delegate ? 4 : 1);
   req.headers.emplace_back("X-Ape-App", std::to_string(spec.app));
   if (delegate) {
     req.headers.emplace_back("X-Ape-Delegate", "1");
@@ -245,7 +250,7 @@ void ClientRuntime::fetch_from_ap(const std::string& url, const CacheableSpec& s
   obs::SpanLog* log = spans();
   obs::TraceContext fetch_span;
   if (log != nullptr) {
-    fetch_span = log->open(root, "http.fetch", "client", url, fetch_start);
+    fetch_span = log->open(root, "http.fetch", "client", target.text, fetch_start);
     if (fetch_span.valid()) {
       http::set_trace_context_header(req.headers, obs::encode_trace_context(fetch_span));
     }
@@ -253,16 +258,16 @@ void ClientRuntime::fetch_from_ap(const std::string& url, const CacheableSpec& s
   obs::ScopedTraceContext ambient(log, fetch_span);
   http_.fetch(
       net::Endpoint{options_.ap_ip, net::kHttpPort}, std::move(req),
-      [this, url, edge_ip, start, lookup, lookup_cached, flag, delegate, fetch_start, root,
-       fetch_span, handler = std::move(handler)](Result<http::HttpResponse> result,
-                                                 http::FetchTiming) mutable {
+      [this, target = std::move(target), edge_ip, start, lookup, lookup_cached, flag,
+       fetch_start, root, fetch_span, handler = std::move(handler)](
+          Result<http::HttpResponse> result, http::FetchTiming) mutable {
         const sim::Time now = network_.simulator().now();
         if (obs::SpanLog* slog = spans(); slog != nullptr) slog->close(fetch_span, now);
         if (!result || !result.value().ok()) {
           // Lookup/fetch race (evicted or expired in between), or the AP's
           // delegated fetch failed: fall back to the edge.
-          fetch_from_edge(url, edge_ip, start, lookup, lookup_cached, flag, root,
-                          std::move(handler));
+          fetch_from_edge(std::move(target), edge_ip, start, lookup, lookup_cached, flag,
+                          root, std::move(handler));
           return;
         }
         FetchResult r;
@@ -277,7 +282,6 @@ void ClientRuntime::fetch_from_ap(const std::string& url, const CacheableSpec& s
                    : was_peer ? Source::ApPeer
                               : Source::ApDelegated;
         r.flag = was_hit ? CacheFlag::CacheHit : flag;
-        (void)delegate;
         r.lookup_from_cache = lookup_cached;
         r.lookup_latency = lookup;
         r.retrieval_latency = now - fetch_start;
@@ -287,35 +291,28 @@ void ClientRuntime::fetch_from_ap(const std::string& url, const CacheableSpec& s
       });
 }
 
-void ClientRuntime::fetch_from_edge(const std::string& url, net::IpAddress edge_ip,
-                                    sim::Time start, sim::Duration lookup, bool lookup_cached,
-                                    CacheFlag flag, const obs::TraceContext& root,
-                                    FetchHandler handler) {
+void ClientRuntime::fetch_from_edge(Target target, net::IpAddress edge_ip, sim::Time start,
+                                    sim::Duration lookup, bool lookup_cached, CacheFlag flag,
+                                    const obs::TraceContext& root, FetchHandler handler) {
   if (edge_ip == net::kDummyIp || edge_ip.is_unspecified()) {
     // We never learned a real edge address (dummy-IP short circuit):
     // resolve regularly, then fetch.
-    auto parsed = http::Url::parse(url);
-    if (!parsed) {
-      FetchResult r;
-      r.error = "bad URL";
-      finish(handler, root, std::move(r));
-      return;
-    }
-    auto domain = dns::DnsName::parse(parsed.value().host);
+    auto domain = dns::DnsName::parse(target.url.host);
     dns::DnsMessage query;
     query.header.rd = true;
     query.questions.push_back(dns::Question{domain.value(), dns::RrType::A, dns::RrClass::In});
     obs::TraceContext dns_span;
     if (obs::SpanLog* log = spans(); log != nullptr) {
-      dns_span = log->open(root, "dns.query", "client", parsed.value().host,
+      dns_span = log->open(root, "dns.query", "client", target.url.host,
                            network_.simulator().now());
       if (dns_span.valid()) {
         query.additionals.push_back(make_trace_context_rr(domain.value(), dns_span));
       }
     }
     dns_.query(options_.ap_dns, std::move(query),
-               [this, url, domain = domain.value(), start, lookup, lookup_cached, flag, root,
-                dns_span, handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
+               [this, target = std::move(target), domain = std::move(domain.value()), start,
+                lookup, lookup_cached, flag, root, dns_span,
+                handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
                  if (obs::SpanLog* log = spans(); log != nullptr) {
                    log->close(dns_span, network_.simulator().now());
                  }
@@ -332,21 +329,20 @@ void ClientRuntime::fetch_from_edge(const std::string& url, net::IpAddress edge_
                    finish(handler, root, std::move(r));
                    return;
                  }
-                 fetch_from_edge(url, addr.value().address, start,
+                 fetch_from_edge(std::move(target), addr.value().address, start,
                                  network_.simulator().now() - start, lookup_cached, flag,
                                  root, std::move(handler));
                });
     return;
   }
 
-  auto parsed = http::Url::parse(url);
   http::HttpRequest req;
-  req.url = std::move(parsed.value());
+  req.url = std::move(target.url);
   const sim::Time fetch_start = network_.simulator().now();
   obs::SpanLog* log = spans();
   obs::TraceContext fetch_span;
   if (log != nullptr) {
-    fetch_span = log->open(root, "http.fetch", "client", url, fetch_start);
+    fetch_span = log->open(root, "http.fetch", "client", target.text, fetch_start);
     if (fetch_span.valid()) {
       http::set_trace_context_header(req.headers, obs::encode_trace_context(fetch_span));
     }
@@ -385,20 +381,21 @@ void ClientRuntime::fetch_via_edge(const std::string& url, FetchHandler handler)
   if (obs::SpanLog* log = spans(); log != nullptr) {
     root = log->open_root("client.request", "client", url, start);
   }
-  resolve_and_fetch_edge(url, start, root, std::move(handler));
-}
-
-void ClientRuntime::resolve_and_fetch_edge(const std::string& url, sim::Time start,
-                                           const obs::TraceContext& root,
-                                           FetchHandler handler) {
-  const auto parsed = http::Url::parse(url);
+  auto parsed = http::Url::parse(url);
   if (!parsed) {
     FetchResult r;
     r.error = "bad URL: " + parsed.error().message;
     finish(handler, root, std::move(r));
     return;
   }
-  auto domain = dns::DnsName::parse(parsed.value().host);
+  resolve_and_fetch_edge(Target{url, std::move(parsed.value())}, start, root,
+                         std::move(handler));
+}
+
+void ClientRuntime::resolve_and_fetch_edge(Target target, sim::Time start,
+                                           const obs::TraceContext& root,
+                                           FetchHandler handler) {
+  auto domain = dns::DnsName::parse(target.url.host);
   if (!domain) {
     FetchResult r;
     r.error = "bad hostname";
@@ -411,14 +408,15 @@ void ClientRuntime::resolve_and_fetch_edge(const std::string& url, sim::Time sta
   query.questions.push_back(dns::Question{domain.value(), dns::RrType::A, dns::RrClass::In});
   obs::TraceContext dns_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
-    dns_span = log->open(root, "dns.query", "client", parsed.value().host,
+    dns_span = log->open(root, "dns.query", "client", target.url.host,
                          network_.simulator().now());
     if (dns_span.valid()) {
       query.additionals.push_back(make_trace_context_rr(domain.value(), dns_span));
     }
   }
   dns_.query(options_.ap_dns, std::move(query),
-             [this, url, domain = domain.value(), start, root, dns_span,
+             [this, target = std::move(target), domain = std::move(domain.value()), start,
+              root, dns_span,
               handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
                if (obs::SpanLog* log = spans(); log != nullptr) {
                  log->close(dns_span, network_.simulator().now());
@@ -439,7 +437,7 @@ void ClientRuntime::resolve_and_fetch_edge(const std::string& url, sim::Time sta
                  finish(handler, root, std::move(r));
                  return;
                }
-               fetch_from_edge(url, addr.value().address, start, lookup, false,
+               fetch_from_edge(std::move(target), addr.value().address, start, lookup, false,
                                CacheFlag::CacheMiss, root, std::move(handler));
              });
 }
@@ -447,20 +445,22 @@ void ClientRuntime::resolve_and_fetch_edge(const std::string& url, sim::Time sta
 void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handler) {
   // Fig. 11b's "two standalone queries": a regular DNS query first, then a
   // separate DNS-Cache query, then the normal dispatch.
-  const auto parsed = http::Url::parse(url);
+  auto parsed = http::Url::parse(url);
   if (!parsed) {
     FetchResult r;
     r.error = "bad URL: " + parsed.error().message;
     finish(handler, {}, std::move(r));
     return;
   }
-  const CacheableSpec* spec = find_cacheable(parsed.value().base());
+  const std::string base = parsed.value().base();
+  const CacheableSpec* spec = find_cacheable(base);
   if (spec == nullptr) {
     fetch_via_edge(url, std::move(handler));
     return;
   }
-  const std::string host = parsed.value().host;
-  const UrlHash hash = hash_url(parsed.value().base());
+  Target target{url, std::move(parsed.value())};
+  const std::string host = target.url.host;
+  const UrlHash hash = hash_url(base);
   const sim::Time start = network_.simulator().now();
   auto domain = dns::DnsName::parse(host).value();
   obs::TraceContext root;
@@ -481,7 +481,7 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
   }
   dns_.query(
       options_.ap_dns, std::move(plain),
-      [this, url, spec, hash, host, domain, start, root, first_span,
+      [this, target = std::move(target), spec, hash, host, domain, start, root, first_span,
        handler = std::move(handler)](Result<dns::DnsMessage> first) mutable {
         if (obs::SpanLog* log = spans(); log != nullptr) {
           log->close(first_span, network_.simulator().now());
@@ -499,7 +499,7 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
               log->open(root, "dns.query", "client", host, network_.simulator().now());
         }
         dns_.query(options_.ap_dns, build_dns_cache_query(domain, {hash}, second_span),
-                   [this, url, spec, hash, ip, start, root, second_span,
+                   [this, target = std::move(target), spec, hash, ip, start, root, second_span,
                     handler = std::move(handler)](Result<dns::DnsMessage> second) mutable {
                      if (obs::SpanLog* log = spans(); log != nullptr) {
                        log->close(second_span, network_.simulator().now());
@@ -514,7 +514,7 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
                          }
                        }
                      }
-                     dispatch(url, *spec, flag, ip, start, lookup, false, root,
+                     dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,
                               std::move(handler));
                    });
       });

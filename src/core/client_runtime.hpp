@@ -125,21 +125,28 @@ class ClientRuntime {
     std::unordered_map<UrlHash, CacheFlag> flags;
   };
 
-  void dispatch(const std::string& url, const CacheableSpec& spec, CacheFlag flag,
+  // A fetch's URL, parsed once: the text labels spans, the parsed form
+  // builds the HTTP request.
+  struct Target {
+    std::string text;
+    http::Url url;
+  };
+
+  void dispatch(Target target, const CacheableSpec& spec, CacheFlag flag,
                 net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                 bool lookup_cached, const obs::TraceContext& root, FetchHandler handler);
-  void fetch_from_ap(const std::string& url, const CacheableSpec& spec, bool delegate,
+  void fetch_from_ap(Target target, const CacheableSpec& spec, bool delegate,
                      net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                      bool lookup_cached, CacheFlag flag, const obs::TraceContext& root,
                      FetchHandler handler);
-  void fetch_from_edge(const std::string& url, net::IpAddress edge_ip, sim::Time start,
+  void fetch_from_edge(Target target, net::IpAddress edge_ip, sim::Time start,
                        sim::Duration lookup, bool lookup_cached, CacheFlag flag,
                        const obs::TraceContext& root, FetchHandler handler);
   // Regular DNS + edge HTTP under an existing trace root (shared by
   // fetch_via_edge and fetch()'s DNS-Cache-failure fallback, so the
   // fallback stays inside the request's original trace).
-  void resolve_and_fetch_edge(const std::string& url, sim::Time start,
-                              const obs::TraceContext& root, FetchHandler handler);
+  void resolve_and_fetch_edge(Target target, sim::Time start, const obs::TraceContext& root,
+                              FetchHandler handler);
   void finish(FetchHandler& handler, const obs::TraceContext& root, FetchResult result);
 
   // Nullable span sink (null when no observer is attached).

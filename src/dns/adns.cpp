@@ -26,7 +26,7 @@ bool AuthoritativeDnsServer::in_zone(const DnsName& name) const {
                      [&](const DnsName& z) { return name.is_subdomain_of(z); });
 }
 
-void AuthoritativeDnsServer::handle_query(const DnsMessage& query, net::Endpoint /*client*/,
+void AuthoritativeDnsServer::handle_query(DnsMessage query, net::Endpoint /*client*/,
                                           Responder respond) {
   if (query.questions.empty()) {
     respond(make_response_for(query, Rcode::FormErr));

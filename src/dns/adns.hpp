@@ -25,7 +25,7 @@ class AuthoritativeDnsServer : public DnsServer {
   void add_cname(const DnsName& name, const DnsName& target, std::uint32_t ttl);
 
  protected:
-  void handle_query(const DnsMessage& query, net::Endpoint client, Responder respond) override;
+  void handle_query(DnsMessage query, net::Endpoint client, Responder respond) override;
 
  private:
   [[nodiscard]] bool in_zone(const DnsName& name) const;

@@ -15,7 +15,7 @@ void CdnDnsServer::set_region_of(net::IpAddress resolver_ip, Region region) {
   regions_[resolver_ip] = std::move(region);
 }
 
-void CdnDnsServer::handle_query(const DnsMessage& query, net::Endpoint client,
+void CdnDnsServer::handle_query(DnsMessage query, net::Endpoint client,
                                 Responder respond) {
   if (query.questions.empty()) {
     respond(make_response_for(query, Rcode::FormErr));

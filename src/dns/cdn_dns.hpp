@@ -30,7 +30,7 @@ class CdnDnsServer : public DnsServer {
   void set_answer_ttl(std::uint32_t ttl_seconds) noexcept { answer_ttl_ = ttl_seconds; }
 
  protected:
-  void handle_query(const DnsMessage& query, net::Endpoint client, Responder respond) override;
+  void handle_query(DnsMessage query, net::Endpoint client, Responder respond) override;
 
  private:
   struct Service {

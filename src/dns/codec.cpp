@@ -1,28 +1,26 @@
+// ape-lint: hot-path
 #include "dns/codec.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
 #include <string>
+#include <string_view>
 
 namespace ape::dns {
 
 // ---------------------------------------------------------------- writer
 
+template <std::size_t N>
+void ByteWriter::put_be(std::uint64_t v) {
+  const std::size_t at = out_.size();
+  out_.resize(at + N);
+  for (std::size_t i = N; i-- > 0; v >>= 8) out_[at + i] = static_cast<std::uint8_t>(v);
+}
+
 void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
+void ByteWriter::u16(std::uint16_t v) { put_be<2>(v); }
+void ByteWriter::u32(std::uint32_t v) { put_be<4>(v); }
+void ByteWriter::u64(std::uint64_t v) { put_be<8>(v); }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
@@ -59,10 +57,11 @@ Result<std::uint64_t> ByteReader::u64() {
   return (std::uint64_t{hi.value()} << 32) | lo.value();
 }
 
-Result<std::vector<std::uint8_t>> ByteReader::bytes(std::size_t n) {
-  if (remaining() < n) return make_error<std::vector<std::uint8_t>>("truncated packet (bytes)");
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+Result<std::span<const std::uint8_t>> ByteReader::bytes(std::size_t n) {
+  if (remaining() < n) {
+    return make_error<std::span<const std::uint8_t>>("truncated packet (bytes)");
+  }
+  const auto out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }
@@ -71,34 +70,70 @@ Result<std::vector<std::uint8_t>> ByteReader::bytes(std::size_t n) {
 
 namespace {
 
-// Writes `name` with §4.1.4 compression: the longest previously-emitted
-// suffix is replaced by a 2-byte pointer.  `offsets` maps the dotted
-// representation of each emitted suffix to its packet offset.
-void write_name(ByteWriter& w, const DnsName& name,
-                std::map<std::string, std::uint16_t>& offsets) {
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    std::string suffix;
-    for (std::size_t j = i; j < labels.size(); ++j) {
-      if (!suffix.empty()) suffix += '.';
-      suffix += labels[j];
+std::span<const std::uint8_t> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+std::string_view as_chars(std::span<const std::uint8_t> b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+// §4.1.4 compression state for one message: every name suffix written so
+// far, as its wire form, with the packet offset where it starts.  The
+// views point into the DnsNames of the message being encoded.  A message
+// holds a handful of distinct suffixes, so a linear scan beats hashing;
+// past kInline entries the rest spill to the heap.
+class SuffixTable {
+ public:
+  [[nodiscard]] const std::uint16_t* find(std::string_view suffix) const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      const Entry& e = i < kInline ? inline_[i] : spill_[i - kInline];
+      if (e.suffix == suffix) return &e.offset;
     }
-    if (auto it = offsets.find(suffix); it != offsets.end()) {
-      w.u16(static_cast<std::uint16_t>(0xC000u | it->second));
+    return nullptr;
+  }
+
+  void add(std::string_view suffix, std::uint16_t offset) {
+    if (size_ < kInline) {
+      inline_[size_] = {suffix, offset};
+    } else {
+      spill_.push_back({suffix, offset});
+    }
+    ++size_;
+  }
+
+ private:
+  struct Entry {
+    std::string_view suffix;
+    std::uint16_t offset = 0;
+  };
+  static constexpr std::size_t kInline = 16;
+  std::array<Entry, kInline> inline_{};
+  std::vector<Entry> spill_;
+  std::size_t size_ = 0;
+};
+
+// Writes `name` with §4.1.4 compression: the longest suffix already in
+// the packet becomes a 2-byte pointer to its first occurrence.  Suffixes
+// are recorded only while their offset fits the 14-bit pointer.
+void write_name(ByteWriter& w, const DnsName& name, SuffixTable& suffixes) {
+  const std::string_view wire = name.wire();
+  for (std::size_t pos = 0; pos < wire.size();) {
+    const std::string_view suffix = wire.substr(pos);
+    if (const std::uint16_t* offset = suffixes.find(suffix); offset != nullptr) {
+      w.u16(static_cast<std::uint16_t>(0xC000u | *offset));
       return;
     }
-    if (w.size() <= 0x3FFF) {
-      offsets.emplace(std::move(suffix), static_cast<std::uint16_t>(w.size()));
-    }
-    w.u8(static_cast<std::uint8_t>(labels[i].size()));
-    w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(labels[i].data()),
-                      labels[i].size()));
+    if (w.size() <= 0x3FFF) suffixes.add(suffix, static_cast<std::uint16_t>(w.size()));
+    const std::size_t len = static_cast<std::uint8_t>(wire[pos]);
+    w.bytes(as_bytes(wire.substr(pos, 1 + len)));
+    pos += 1 + len;
   }
   w.u8(0);  // root
 }
 
 Result<DnsName> read_name(ByteReader& r) {
-  std::string dotted;
+  DnsName name;
   std::size_t jumps = 0;
   constexpr std::size_t kMaxJumps = 32;  // loop guard
   std::size_t return_pos = 0;
@@ -125,11 +160,12 @@ Result<DnsName> read_name(ByteReader& r) {
     if ((len & 0xC0u) != 0) return make_error<DnsName>("reserved label type");
     auto label = r.bytes(len);
     if (!label) return make_error<DnsName>(label.error().message);
-    if (!dotted.empty()) dotted += '.';
-    dotted.append(label.value().begin(), label.value().end());
+    if (auto ok = name.append_label(as_chars(label.value())); !ok) {
+      return make_error<DnsName>(ok.error().message);
+    }
   }
   if (jumped) r.seek(return_pos);
-  return DnsName::parse(dotted);
+  return name;
 }
 
 std::uint16_t pack_flags(const Header& h) {
@@ -157,9 +193,8 @@ Header unpack_flags(std::uint16_t id, std::uint16_t f) {
   return h;
 }
 
-void write_rr(ByteWriter& w, const ResourceRecord& rr,
-              std::map<std::string, std::uint16_t>& offsets) {
-  write_name(w, rr.name, offsets);
+void write_rr(ByteWriter& w, const ResourceRecord& rr, SuffixTable& suffixes) {
+  write_name(w, rr.name, suffixes);
   w.u16(static_cast<std::uint16_t>(rr.type));
   w.u16(rr.rr_class);
   w.u32(rr.ttl);
@@ -189,8 +224,19 @@ Result<ResourceRecord> read_rr(ByteReader& r) {
   if (!rdlength) return make_error<ResourceRecord>(rdlength.error().message);
   auto rdata = r.bytes(rdlength.value());
   if (!rdata) return make_error<ResourceRecord>(rdata.error().message);
-  rr.rdata = std::move(rdata.value());
+  rr.rdata.assign(rdata.value().begin(), rdata.value().end());
   return rr;
+}
+
+// Uncompressed size: an upper bound on the encoded size, so one reserve
+// covers the whole message.
+std::size_t uncompressed_size(const DnsMessage& m) {
+  std::size_t n = 12;
+  for (const auto& q : m.questions) n += q.name.wire_length() + 4;
+  for (const auto* section : {&m.answers, &m.authorities, &m.additionals}) {
+    for (const auto& rr : *section) n += rr.name.wire_length() + 10 + rr.rdata.size();
+  }
+  return n;
 }
 
 }  // namespace
@@ -199,7 +245,8 @@ Result<ResourceRecord> read_rr(ByteReader& r) {
 
 std::vector<std::uint8_t> encode(const DnsMessage& m) {
   ByteWriter w;
-  std::map<std::string, std::uint16_t> offsets;
+  w.reserve(uncompressed_size(m));
+  SuffixTable suffixes;
 
   w.u16(m.header.id);
   w.u16(pack_flags(m.header));
@@ -209,13 +256,13 @@ std::vector<std::uint8_t> encode(const DnsMessage& m) {
   w.u16(static_cast<std::uint16_t>(m.additionals.size()));
 
   for (const auto& q : m.questions) {
-    write_name(w, q.name, offsets);
+    write_name(w, q.name, suffixes);
     w.u16(static_cast<std::uint16_t>(q.qtype));
     w.u16(static_cast<std::uint16_t>(q.qclass));
   }
-  for (const auto& rr : m.answers) write_rr(w, rr, offsets);
-  for (const auto& rr : m.authorities) write_rr(w, rr, offsets);
-  for (const auto& rr : m.additionals) write_rr(w, rr, offsets);
+  for (const auto& rr : m.answers) write_rr(w, rr, suffixes);
+  for (const auto& rr : m.authorities) write_rr(w, rr, suffixes);
+  for (const auto& rr : m.additionals) write_rr(w, rr, suffixes);
 
   return std::move(w).take();
 }
@@ -238,6 +285,9 @@ Result<DnsMessage> decode(std::span<const std::uint8_t> wire) {
   auto ar = r.u16();
   if (!qd || !an || !ns || !ar) return make_error<DnsMessage>("truncated header counts");
 
+  // Counts come off the wire, so reserve no more entries than the bytes
+  // left could hold (a question is >= 5 bytes, an RR >= 11).
+  m.questions.reserve(std::min<std::size_t>(qd.value(), r.remaining() / 5));
   for (std::uint16_t i = 0; i < qd.value(); ++i) {
     Question q;
     auto name = read_name(r);
@@ -253,6 +303,7 @@ Result<DnsMessage> decode(std::span<const std::uint8_t> wire) {
 
   auto read_section = [&r](std::uint16_t count,
                            std::vector<ResourceRecord>& out) -> Result<bool> {
+    out.reserve(std::min<std::size_t>(count, r.remaining() / 11));
     for (std::uint16_t i = 0; i < count; ++i) {
       auto rr = read_rr(r);
       if (!rr) return make_error<bool>(rr.error().message);

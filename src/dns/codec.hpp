@@ -21,6 +21,7 @@ namespace ape::dns {
 // for tests that build malformed packets.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { out_.reserve(n); }
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);   // big-endian
   void u32(std::uint32_t v);   // big-endian
@@ -32,6 +33,9 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& view() const noexcept { return out_; }
 
  private:
+  template <std::size_t N>
+  void put_be(std::uint64_t v);
+
   std::vector<std::uint8_t> out_;
 };
 
@@ -43,7 +47,8 @@ class ByteReader {
   [[nodiscard]] Result<std::uint16_t> u16();
   [[nodiscard]] Result<std::uint32_t> u32();
   [[nodiscard]] Result<std::uint64_t> u64();
-  [[nodiscard]] Result<std::vector<std::uint8_t>> bytes(std::size_t n);
+  // A view into the packet; valid as long as the bytes the reader wraps.
+  [[nodiscard]] Result<std::span<const std::uint8_t>> bytes(std::size_t n);
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -59,7 +59,7 @@ void LocalDnsServer::cache_records(const std::vector<ResourceRecord>& records) {
   }
 }
 
-void LocalDnsServer::handle_query(const DnsMessage& query, net::Endpoint /*client*/,
+void LocalDnsServer::handle_query(DnsMessage query, net::Endpoint /*client*/,
                                   Responder respond) {
   if (query.questions.empty() || query.questions.front().qtype != RrType::A) {
     respond(make_response_for(query, Rcode::NotImp));

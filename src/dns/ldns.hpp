@@ -40,7 +40,7 @@ class LocalDnsServer : public DnsServer {
   }
 
  protected:
-  void handle_query(const DnsMessage& query, net::Endpoint client, Responder respond) override;
+  void handle_query(DnsMessage query, net::Endpoint client, Responder respond) override;
 
  private:
   struct CachedRecord {

@@ -1,7 +1,5 @@
+// ape-lint: hot-path
 #include "dns/name.hpp"
-
-#include <algorithm>
-#include <cctype>
 
 namespace ape::dns {
 
@@ -9,8 +7,14 @@ namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 253;
 
-bool valid_label_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_';
+// ASCII only: the classic-locale std::isalnum without the locale lookup.
+constexpr bool valid_label_char(char c) noexcept {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+         c == '-' || c == '_';
+}
+
+constexpr char to_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 }  // namespace
 
@@ -20,45 +24,56 @@ Result<DnsName> DnsName::parse(std::string_view text) {
   if (text.size() > kMaxName) return make_error<DnsName>("name too long");
 
   DnsName name;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t dot = text.find('.', start);
-    const std::size_t end = dot == std::string_view::npos ? text.size() : dot;
-    const std::string_view label = text.substr(start, end - start);
-    if (label.empty()) return make_error<DnsName>("empty label");
-    if (label.size() > kMaxLabel) return make_error<DnsName>("label too long");
-    if (!std::all_of(label.begin(), label.end(), valid_label_char)) {
-      return make_error<DnsName>("invalid character in label");
+  name.wire_.reserve(text.size() + 1);
+  while (true) {
+    const std::size_t dot = text.find('.');
+    if (auto ok = name.append_label(text.substr(0, dot)); !ok) {
+      return make_error<DnsName>(ok.error().message);
     }
-    std::string lowered(label);
-    std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    name.labels_.push_back(std::move(lowered));
     if (dot == std::string_view::npos) break;
-    start = dot + 1;
+    text.remove_prefix(dot + 1);
   }
   return name;
 }
 
+Result<bool> DnsName::append_label(std::string_view label) {
+  if (label.empty()) return make_error<bool>("empty label");
+  if (label.size() > kMaxLabel) return make_error<bool>("label too long");
+  for (char c : label) {
+    if (!valid_label_char(c)) return make_error<bool>("invalid character in label");
+  }
+  // Presentation length after the append: the wire form minus its first
+  // length byte, i.e. every label plus one '.' between neighbours.
+  if (wire_.size() + label.size() > kMaxName) return make_error<bool>("name too long");
+  const std::size_t start = wire_.size() + 1;
+  wire_.push_back(static_cast<char>(label.size()));
+  wire_.append(label);
+  for (std::size_t i = start; i < wire_.size(); ++i) wire_[i] = to_lower(wire_[i]);
+  ++label_count_;
+  return true;
+}
+
 std::string DnsName::to_string() const {
-  if (labels_.empty()) return ".";
-  std::string out;
-  for (const auto& label : labels_) {
-    if (!out.empty()) out += '.';
-    out += label;
+  if (wire_.empty()) return ".";
+  std::string out(wire_.begin() + 1, wire_.end());
+  // Every later length byte becomes the '.' in front of its label.
+  for (std::size_t pos = static_cast<std::uint8_t>(wire_[0]); pos < out.size();) {
+    const std::size_t len = static_cast<std::uint8_t>(out[pos]);
+    out[pos] = '.';
+    pos += 1 + len;
   }
   return out;
 }
 
 bool DnsName::is_subdomain_of(const DnsName& suffix) const {
-  if (suffix.labels_.size() > labels_.size()) return false;
-  return std::equal(suffix.labels_.rbegin(), suffix.labels_.rend(), labels_.rbegin());
-}
-
-std::size_t DnsName::wire_length() const noexcept {
-  std::size_t n = 1;  // root byte
-  for (const auto& label : labels_) n += 1 + label.size();
-  return n;
+  if (suffix.label_count_ > label_count_) return false;
+  // Skip to the label boundary where a suffix with that many labels starts;
+  // a byte-wise tail match elsewhere could straddle a label.
+  std::size_t pos = 0;
+  for (std::size_t skip = label_count_ - suffix.label_count_; skip > 0; --skip) {
+    pos += 1 + static_cast<std::uint8_t>(wire_[pos]);
+  }
+  return std::string_view(wire_).substr(pos) == suffix.wire_;
 }
 
 }  // namespace ape::dns

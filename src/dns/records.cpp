@@ -1,4 +1,7 @@
+// ape-lint: hot-path
 #include "dns/message.hpp"
+
+#include <string_view>
 
 namespace ape::dns {
 
@@ -34,18 +37,16 @@ Result<net::IpAddress> decode_a_rdata(const std::vector<std::uint8_t>& rdata) {
 std::vector<std::uint8_t> encode_cname_rdata(const DnsName& target) {
   // Uncompressed wire-format name; compression inside RDATA is legal for
   // CNAME but never required, and avoiding it keeps RDATA self-contained.
+  const std::string_view wire = target.wire();
   std::vector<std::uint8_t> out;
   out.reserve(target.wire_length());
-  for (const auto& label : target.labels()) {
-    out.push_back(static_cast<std::uint8_t>(label.size()));
-    out.insert(out.end(), label.begin(), label.end());
-  }
+  out.assign(wire.begin(), wire.end());
   out.push_back(0);
   return out;
 }
 
 Result<DnsName> decode_cname_rdata(const std::vector<std::uint8_t>& rdata) {
-  std::string dotted;
+  DnsName name;
   std::size_t pos = 0;
   while (true) {
     if (pos >= rdata.size()) return make_error<DnsName>("truncated CNAME RDATA");
@@ -53,11 +54,13 @@ Result<DnsName> decode_cname_rdata(const std::vector<std::uint8_t>& rdata) {
     if (len == 0) break;
     if ((len & 0xC0u) != 0) return make_error<DnsName>("compressed CNAME RDATA unsupported");
     if (pos + len > rdata.size()) return make_error<DnsName>("truncated CNAME label");
-    if (!dotted.empty()) dotted += '.';
-    dotted.append(reinterpret_cast<const char*>(rdata.data() + pos), len);
+    const std::string_view label(reinterpret_cast<const char*>(rdata.data() + pos), len);
+    if (auto ok = name.append_label(label); !ok) {
+      return make_error<DnsName>(ok.error().message);
+    }
     pos += len;
   }
-  return DnsName::parse(dotted);
+  return name;
 }
 
 ResourceRecord make_a_record(const DnsName& name, net::IpAddress ip, std::uint32_t ttl) {

@@ -58,7 +58,7 @@ void DnsServer::on_datagram(const net::Datagram& dgram) {
       }
       network_.send_datagram(node_, port_, client, std::move(wire));
     };
-    handle_query(query, client, std::move(respond));
+    handle_query(std::move(query), client, std::move(respond));
   }, serve_kind_);
 }
 

@@ -42,8 +42,9 @@ class DnsServer {
   using Responder = std::function<void(DnsMessage)>;
 
   // Implementations may respond synchronously or hold the responder for an
-  // asynchronous upstream round trip.
-  virtual void handle_query(const DnsMessage& query, net::Endpoint client,
+  // asynchronous upstream round trip.  The decoded query is moved in, so an
+  // implementation can carry it into deferred work without a copy.
+  virtual void handle_query(DnsMessage query, net::Endpoint client,
                             Responder respond) = 0;
 
   [[nodiscard]] net::Network& network() noexcept { return network_; }

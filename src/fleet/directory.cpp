@@ -1,9 +1,11 @@
+// ape-lint: hot-path
 #include "fleet/directory.hpp"
 
 #include <cassert>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "common/parse.hpp"
 #include "core/url_hash.hpp"
 
 namespace ape::fleet {
@@ -12,9 +14,11 @@ namespace {
 net::Payload to_payload(const std::string& text) {
   return net::Payload(text.begin(), text.end());
 }
-std::string to_text(const net::Payload& payload) {
-  return std::string(payload.begin(), payload.end());
+
+FieldReader fields_of(const net::Payload& payload) {
+  return FieldReader({reinterpret_cast<const char*>(payload.data()), payload.size()});
 }
+
 // Registry operations are cheap map work; same order of magnitude as the
 // Wi-Cache controller's 200 µs per control message.
 constexpr sim::Duration kShardServiceTime = sim::microseconds(150);
@@ -56,36 +60,41 @@ DirectoryShard::~DirectoryShard() {
 }
 
 void DirectoryShard::on_datagram(const net::Datagram& dgram) {
-  std::istringstream in(to_text(dgram.payload));
-  std::string verb;
-  in >> verb;
+  // Malformed lines are dropped before they cost any shard CPU.
+  FieldReader in = fields_of(dgram.payload);
+  std::string_view verb;
+  if (!in.word(verb)) return;
   if (verb == "PUBLISH") {
     std::uint32_t ap = 0, ttl_s = 0;
-    std::string key;
-    in >> ap >> key >> ttl_s;
-    cpu_.submit(kShardServiceTime, [this, ap, key, ttl_s] { handle_publish(ap, key, ttl_s); },
+    std::string_view key;
+    if (!(in.number(ap) && in.word(key) && in.number(ttl_s) && in.done())) return;
+    cpu_.submit(kShardServiceTime,
+                [this, ap, key = std::string(key), ttl_s] { handle_publish(ap, key, ttl_s); },
                 APE_EVT("controller.dir.publish"));
   } else if (verb == "RETRACT") {
     std::uint32_t ap = 0;
-    std::string key;
-    in >> ap >> key;
-    cpu_.submit(kShardServiceTime, [this, ap, key] { handle_retract(ap, key); },
+    std::string_view key;
+    if (!(in.number(ap) && in.word(key) && in.done())) return;
+    cpu_.submit(kShardServiceTime,
+                [this, ap, key = std::string(key)] { handle_retract(ap, key); },
                 APE_EVT("controller.dir.retract"));
   } else if (verb == "LOOKUP") {
     std::uint64_t seq = 0;
     std::uint32_t asker = 0;
-    std::string key;
-    in >> seq >> asker >> key;
+    std::string_view key;
+    if (!(in.number(seq) && in.number(asker) && in.word(key) && in.done())) return;
     const net::Endpoint reply_to = dgram.source;
     cpu_.submit(kShardServiceTime,
-                [this, seq, asker, key, reply_to] { handle_lookup(seq, asker, key, reply_to); },
+                [this, seq, asker, key = std::string(key), reply_to] {
+                  handle_lookup(seq, asker, key, reply_to);
+                },
                 APE_EVT("controller.dir.lookup"));
   } else if (verb == "LEASE") {
     std::uint64_t seq = 0;
     std::uint32_t ap = 0, ttl_s = 0;
-    in >> seq >> ap >> ttl_s;
+    if (!(in.number(seq) && in.number(ap) && in.number(ttl_s))) return;
     std::vector<std::string> keys;
-    for (std::string key; in >> key;) keys.push_back(std::move(key));
+    for (std::string_view key; in.word(key);) keys.emplace_back(key);
     const net::Endpoint reply_to = dgram.source;
     cpu_.submit(kShardServiceTime, [this, seq, ap, ttl_s, keys = std::move(keys), reply_to] {
       handle_lease(seq, ap, ttl_s, keys, reply_to);
@@ -318,18 +327,24 @@ void DirectoryClient::resolve(std::uint64_t seq, std::optional<core::PeerLocatio
 }
 
 void DirectoryClient::on_datagram(const net::Datagram& dgram) {
-  std::istringstream in(to_text(dgram.payload));
-  std::string verb;
+  // "<verb> <seq> <shard> <epoch>" plus a verb-specific tail; a malformed
+  // line is dropped whole, before it can touch the epoch table.
+  FieldReader in = fields_of(dgram.payload);
+  std::string_view verb;
   std::uint64_t seq = 0;
   std::size_t shard = 0;
   std::uint64_t epoch = 0;
-  in >> verb >> seq >> shard >> epoch;
-  if (shard >= options_.shards.size()) return;
+  if (!(in.word(verb) && in.number(seq) && in.number(shard) && in.number(epoch))) return;
+  std::uint32_t owner = 0;
+  std::size_t renewed = 0;
+  const bool well_formed = verb == "FOUND"      ? in.number(owner) && in.done()
+                           : verb == "MISS"     ? in.done()
+                           : verb == "LEASEACK" ? in.number(renewed) && in.done()
+                                                : false;
+  if (!well_formed || shard >= options_.shards.size()) return;
   check_epoch(shard, epoch);
 
   if (verb == "FOUND") {
-    std::uint32_t owner = 0;
-    in >> owner;
     auto roster_it = options_.roster.find(owner);
     if (roster_it == options_.roster.end()) {
       resolve(seq, std::nullopt);  // unknown AP: treat as a miss
@@ -338,8 +353,7 @@ void DirectoryClient::on_datagram(const net::Datagram& dgram) {
     resolve(seq, core::PeerLocation{owner, roster_it->second, epoch});
   } else if (verb == "MISS") {
     resolve(seq, std::nullopt);
-  }
-  if (verb == "LEASEACK" && lease_acks_outstanding_ > 0) {
+  } else if (lease_acks_outstanding_ > 0) {  // LEASEACK
     if (--lease_acks_outstanding_ == 0) {
       if (auto* log = spans(); log != nullptr) {
         log->close(lease_span_, network_.simulator().now());

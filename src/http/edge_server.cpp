@@ -102,16 +102,14 @@ void EdgeCacheServer::handle(const HttpRequest& request, HttpServer::Responder r
                            ObjectSpec spec;
                            spec.base_url = base;
                            spec.size_bytes = resp.total_body_bytes();
-                           if (const auto* ttl = find_header(resp.headers, "X-Object-TTL")) {
-                             spec.ttl_seconds = static_cast<std::uint32_t>(std::stoul(*ttl));
-                           }
-                           if (const auto* prio =
-                                   find_header(resp.headers, "X-Object-Priority")) {
-                             spec.priority = std::stoi(*prio);
-                           }
-                           if (const auto* app = find_header(resp.headers, "X-Object-App")) {
-                             spec.app_id = static_cast<std::uint32_t>(std::stoul(*app));
-                           }
+                           // A malformed header keeps the catalog default.
+                           const Headers& h = resp.headers;
+                           spec.ttl_seconds = header_int<std::uint32_t>(h, "X-Object-TTL")
+                                                  .value_or(spec.ttl_seconds);
+                           spec.priority =
+                               header_int<int>(h, "X-Object-Priority").value_or(spec.priority);
+                           spec.app_id = header_int<std::uint32_t>(h, "X-Object-App")
+                                             .value_or(spec.app_id);
                            catalog_.add(std::move(spec));
                            respond(std::move(resp));
                          });

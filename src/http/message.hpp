@@ -6,11 +6,14 @@
 // payloads (delegation requests, tests).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/result.hpp"
 #include "http/url.hpp"
 #include "net/tcp.hpp"
@@ -19,7 +22,17 @@ namespace ape::http {
 
 using Headers = std::vector<std::pair<std::string, std::string>>;
 
-[[nodiscard]] const std::string* find_header(const Headers& headers, const std::string& name);
+[[nodiscard]] const std::string* find_header(const Headers& headers, std::string_view name);
+
+// The named header as an integer: an error when it is missing or is not
+// exactly a base-10 integer that fits T, so a caller's value_or(default)
+// treats a malformed header like a missing one.
+template <std::integral T>
+[[nodiscard]] Result<T> header_int(const Headers& headers, std::string_view name) {
+  const std::string* value = find_header(headers, name);
+  if (value == nullptr) return make_error<T>("missing header");
+  return parse_int<T>(*value);
+}
 
 // Causal-trace context carrier (DESIGN.md §5f).  The header is real wire
 // bytes, so callers must only set it when span tracing is enabled — the

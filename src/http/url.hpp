@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.hpp"
 
@@ -19,7 +20,12 @@ struct Url {
   std::string path = "/";
   std::string query;       // without '?'
 
-  [[nodiscard]] static Result<Url> parse(const std::string& text);
+  [[nodiscard]] static Result<Url> parse(std::string_view text);
+  // The URL an origin-form request line names ("GET /a?b HTTP/1.1" with
+  // "Host: x"): exactly parse("http://" + host + target), without building
+  // that string on the common path.
+  [[nodiscard]] static Result<Url> from_origin_form(std::string_view host,
+                                                    std::string_view target);
 
   [[nodiscard]] std::uint16_t effective_port() const noexcept;
   [[nodiscard]] std::string to_string() const;

@@ -2,41 +2,41 @@
 #include "net/network.hpp"
 
 #include <cassert>
-#include <sstream>
+#include <charconv>
+#include <system_error>
 #include <utility>
 
 namespace ape::net {
 
 std::string IpAddress::to_string() const {
-  std::ostringstream os;
-  os << ((v4 >> 24) & 0xFF) << '.' << ((v4 >> 16) & 0xFF) << '.' << ((v4 >> 8) & 0xFF) << '.'
-     << (v4 & 0xFF);
-  return os.str();
+  char buf[16];  // "255.255.255.255"
+  char* out = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    if (shift != 24) *out++ = '.';
+    out = std::to_chars(out, buf + sizeof buf, (v4 >> shift) & 0xFF).ptr;
+  }
+  return std::string(buf, out);
 }
 
 Result<IpAddress> IpAddress::parse(const std::string& dotted) {
   std::uint32_t octets[4];
-  std::size_t pos = 0;
+  const char* pos = dotted.data();
+  const char* const end = dotted.data() + dotted.size();
   for (int i = 0; i < 4; ++i) {
-    if (pos >= dotted.size()) return make_error<IpAddress>("truncated IPv4 literal");
-    std::size_t consumed = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(dotted.substr(pos), &consumed, 10);
-    } catch (...) {
+    if (pos == end) return make_error<IpAddress>("truncated IPv4 literal");
+    const auto [next, ec] = std::from_chars(pos, end, octets[i]);
+    if (ec != std::errc{} || octets[i] > 255) {
       return make_error<IpAddress>("invalid IPv4 octet");
     }
-    if (consumed == 0 || value > 255) return make_error<IpAddress>("invalid IPv4 octet");
-    octets[i] = static_cast<std::uint32_t>(value);
-    pos += consumed;
+    pos = next;
     if (i < 3) {
-      if (pos >= dotted.size() || dotted[pos] != '.') {
+      if (pos == end || *pos != '.') {
         return make_error<IpAddress>("expected '.' in IPv4 literal");
       }
       ++pos;
     }
   }
-  if (pos != dotted.size()) return make_error<IpAddress>("trailing characters in IPv4 literal");
+  if (pos != end) return make_error<IpAddress>("trailing characters in IPv4 literal");
   return IpAddress{(octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]};
 }
 

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <iomanip>
-#include <sstream>
 #include <utility>
 
 #include "sim/profile_sink.hpp"
@@ -17,13 +15,6 @@ namespace {
 // dead; below this the queue is left alone regardless of the ratio.
 constexpr std::size_t kCompactionFloor = 64;
 }  // namespace
-
-std::string format_time(Time t) {
-  const double s = t.seconds();
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(3) << s << "s";
-  return os.str();
-}
 
 Simulator::Simulator(QueueKind kind) : kind_(kind) {
   if (kind_ == QueueKind::Calendar) {

@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace ape::sim {
 
@@ -49,7 +48,5 @@ inline constexpr Duration minutes(double n) noexcept { return seconds(n * 60.0);
 [[nodiscard]] inline double to_seconds(Duration d) noexcept {
   return static_cast<double>(d.count()) / 1'000'000.0;
 }
-
-[[nodiscard]] std::string format_time(Time t);
 
 }  // namespace ape::sim

@@ -1,11 +1,12 @@
-// Fixture: heap allocations and by-name metric lookups inside a file
-// annotated as hot-path must fire; placement new, allowlisted lines, and
-// handle-based metric use must not.  (A second, unannotated fixture is not
+// Fixture: heap allocations, string streams and by-name metric lookups
+// inside a file annotated as hot-path must fire; placement new, allowlisted
+// lines, and handle-based metric use must not.  (A second, unannotated fixture is not
 // needed: every other fixture file lacks the marker, so the check staying
 // silent there is already covered.)
 // ape-lint: hot-path
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 
 namespace fixture {
@@ -34,6 +35,12 @@ inline void per_event(HotRegistry& registry, CounterHandle& handle) {
   registry.counter("engine.events").add();  // expect-lint: hot-alloc
   registry.gauge("engine.depth").add();  // expect-lint: hot-alloc
   registry.histogram("engine.latency_ms").add();  // expect-lint: hot-alloc
+
+  // String streams allocate a buffer and take the locale per construction.
+  std::istringstream in("1 2");  // expect-lint: hot-alloc
+  std::ostringstream out;  // expect-lint: hot-alloc
+  std::stringstream both;  // expect-lint: hot-alloc
+  std::ostringstream report;  // ape-lint: allow(hot-alloc)
 
   // Pre-resolved handles are the sanctioned pattern: no literal, no walk.
   handle.add();

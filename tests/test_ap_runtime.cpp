@@ -96,6 +96,35 @@ TEST_F(ApFixture, DelegationFetchesCachesAndServes) {
   EXPECT_LT(second.total, first.total);
 }
 
+// The AP read X-Ape-App, -Ttl and -Priority with std::stoul/std::stoi, so a
+// malformed value threw out of the simulator.  Now each keeps its default,
+// as a missing header does.
+TEST_F(ApFixture, MalformedApeHeadersKeepDefaults) {
+  build(System::ApeCache);
+  http::HttpClient raw(bed->tcp(), client->node);
+  http::HttpRequest req;
+  req.url = http::Url::parse("http://api.two.example/alpha").value();
+  req.headers = {{"X-Ape-App", "fifty"},
+                 {"X-Ape-Delegate", "1"},
+                 {"X-Ape-Ttl", "99999999999999999999"},
+                 {"X-Ape-Priority", "high"}};
+  Result<http::HttpResponse> out = make_error<http::HttpResponse>("not called");
+  const sim::Time sent = bed->simulator().now();
+  raw.fetch(net::Endpoint{bed->ap_ip(), net::kHttpPort}, std::move(req),
+            [&out](Result<http::HttpResponse> r, http::FetchTiming) { out = std::move(r); });
+  ASSERT_NO_THROW(bed->simulator().run());
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out.value().ok());
+  EXPECT_EQ(bed->ap().delegations_performed(), 1u);
+  const std::string key = hash_to_string(hash_url("http://api.two.example/alpha"));
+  const cache::CacheEntry* entry = bed->ap().data_cache().lookup_any(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->app_id, 0u);
+  EXPECT_EQ(entry->priority, 1);
+  EXPECT_GE(entry->expires, sent + sim::seconds(600));
+  EXPECT_LT(entry->expires, sent + sim::seconds(601));
+}
+
 TEST_F(ApFixture, DummyIpShortCircuitWhenAllCached) {
   build(System::ApeCache);
   // Cache both objects under the domain.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "http/edge_server.hpp"
 #include "http/endpoint.hpp"
 #include "http/message.hpp"
@@ -53,6 +58,27 @@ TEST(Url, RejectsMalformed) {
   EXPECT_FALSE(Url::parse("http://h.com:notaport/").ok());
   EXPECT_FALSE(Url::parse("http://h.com:0/").ok());
   EXPECT_FALSE(Url::parse("").ok());
+}
+
+// std::stoul threw std::out_of_range on the port.
+TEST(Url, OverlongPortIsOutOfRange) {
+  Result<Url> url = make_error<Url>("not parsed");
+  ASSERT_NO_THROW(url = Url::parse("http://a.com:99999999999999999999999/x"));
+  ASSERT_FALSE(url.ok());
+  EXPECT_EQ(url.error().message, "port out of range");
+  EXPECT_FALSE(Url::parse("http://a.com:65536/x").ok());
+  EXPECT_EQ(Url::parse("http://a.com:065535/x").value().port, 65535);
+}
+
+TEST(Url, OriginFormMatchesJoinedText) {
+  for (const auto& [host, target] : std::vector<std::pair<std::string, std::string>>{
+           {"a.com", "/x?q=1"}, {"A.com:81", "/"}, {"a.com", ""}, {"a.com/p", "/x"},
+           {"a.com", "x/y"}, {"", "/x"}, {"a.com:", "/x"}, {"a.com:0", "/x"}}) {
+    const auto direct = Url::from_origin_form(host, target);
+    const auto joined = Url::parse("http://" + host + target);
+    ASSERT_EQ(direct.ok(), joined.ok()) << host << target;
+    if (direct.ok()) EXPECT_EQ(direct.value(), joined.value()) << host << target;
+  }
 }
 
 TEST(Url, RoundTripEquality) {
@@ -115,6 +141,75 @@ TEST(HttpMessage, FromTcpRejectsGarbage) {
   EXPECT_FALSE(HttpResponse::from_tcp(junk).ok());
 }
 
+net::TcpMessage wire_text(std::string_view text) {
+  net::TcpMessage msg;
+  msg.bytes.assign(text.begin(), text.end());
+  return msg;
+}
+
+// std::stoull threw std::invalid_argument on these, out of the simulator.
+TEST(HttpMessage, NonNumericSimBodyIsAnError) {
+  Result<HttpRequest> req = make_error<HttpRequest>("not parsed");
+  ASSERT_NO_THROW(req = HttpRequest::from_tcp(
+                      wire_text("GET /x HTTP/1.1\r\nHost: a.com\r\nX-Sim-Body: zz\r\n\r\n")));
+  EXPECT_FALSE(req.ok());
+  Result<HttpResponse> resp = make_error<HttpResponse>("not parsed");
+  ASSERT_NO_THROW(resp = HttpResponse::from_tcp(
+                      wire_text("HTTP/1.1 200 OK\r\nX-Sim-Body: zz\r\n\r\n")));
+  EXPECT_FALSE(resp.ok());
+}
+
+// ...and std::out_of_range on this one.
+TEST(HttpMessage, OverlongSimBodyIsAnError) {
+  Result<HttpRequest> req = make_error<HttpRequest>("not parsed");
+  ASSERT_NO_THROW(req = HttpRequest::from_tcp(wire_text(
+                      "GET /x HTTP/1.1\r\nX-Sim-Body: 123456789012345678901234567\r\n\r\n")));
+  EXPECT_FALSE(req.ok());
+}
+
+TEST(HttpMessage, PartlyNumericSimBodyIsAnError) {
+  // std::stoull read "12" out of these; the whole value must be a number.
+  const std::string head = "HTTP/1.1 200 OK\r\nX-Sim-Body: ";
+  for (const char* value : {"12ab", " 12", "+12", "-1", ""}) {
+    EXPECT_FALSE(HttpResponse::from_tcp(wire_text(head + value + "\r\n\r\n")).ok()) << value;
+  }
+  const auto ok = HttpResponse::from_tcp(wire_text(head + "12\r\n\r\n"));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().simulated_body_bytes, 12u);
+}
+
+// The status is still read the way `istream >> int` read it: the leading
+// [+-]digits after the version, then range-checked.
+TEST(HttpMessage, StatusLineReadsLikeIstream) {
+  for (const auto& [line, status] : std::vector<std::pair<std::string, int>>{
+           {"HTTP/1.1 200 OK", 200}, {"HTTP/1.1 +204 x", 204}, {"HTTP/1.1 404Gone", 404},
+           {"HTTP/1.1 \t0302", 302}, {"HTTP/1.1 99 Low", 0}, {"HTTP/1.1 600", 0},
+           {"HTTP/1.1 -200", 0}, {"HTTP/1.1 ++200", 0}, {"HTTP/1.1", 0}, {"", 0}}) {
+    const auto resp = HttpResponse::from_tcp(wire_text(line + "\r\n\r\n"));
+    ASSERT_EQ(resp.ok(), status != 0) << line;
+    if (resp.ok()) EXPECT_EQ(resp.value().status, status) << line;
+  }
+}
+
+TEST(HttpMessage, HeaderIntTreatsMalformedLikeMissing) {
+  const Headers headers{{"X-Ttl", "60"}, {"X-Bad", "6o"}, {"X-Big", "4294967296"}};
+  EXPECT_EQ(header_int<std::uint32_t>(headers, "x-ttl").value_or(1), 60u);
+  EXPECT_EQ(header_int<std::uint32_t>(headers, "X-Bad").value_or(1), 1u);
+  EXPECT_EQ(header_int<std::uint32_t>(headers, "X-Big").value_or(1), 1u);
+  EXPECT_EQ(header_int<std::uint32_t>(headers, "X-Missing").value_or(1), 1u);
+  EXPECT_EQ(header_int<int>({{"P", "-2"}}, "P").value_or(1), -2);
+}
+
+TEST(HttpMessage, RequestUrlComesFromHostAndTarget) {
+  const auto req = HttpRequest::from_tcp(
+      wire_text("GET /obj?v=2 HTTP/1.1\r\nHost: App3.Example.com:8080\r\n\r\n"));
+  ASSERT_TRUE(req.ok());
+  EXPECT_EQ(req.value().url, Url::parse("http://app3.example.com:8080/obj?v=2").value());
+  const auto no_host = HttpRequest::from_tcp(wire_text("GET /obj HTTP/1.1\r\n\r\n"));
+  ASSERT_TRUE(no_host.ok());
+  EXPECT_EQ(no_host.value().url.host, "unknown");
+}
+
 TEST(HttpMessage, StatusHelpers) {
   EXPECT_TRUE(make_status_response(204).ok());
   EXPECT_FALSE(make_status_response(404).ok());
@@ -162,6 +257,44 @@ struct HttpFixture : ::testing::Test {
     return out;
   }
 };
+
+// A bad X-Sim-Body is a 400 at the server and an error at the client, not
+// an exception out of the simulator.
+TEST_F(HttpFixture, BadSimBodyIs400AtServerAndErrorAtClient) {
+  HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
+  srv.set_fallback([](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
+    r(make_status_response(200));
+  });
+  Result<net::TcpMessage> raw = make_error<net::TcpMessage>("not called");
+  tcp->connect(client, net::Endpoint{server_ip, net::kHttpPort},
+               [&raw](Result<net::TcpConnectionPtr> conn) {
+                 ASSERT_TRUE(conn.ok());
+                 net::TcpConnectionPtr c = std::move(conn.value());
+                 net::TcpConnection& ref = *c;
+                 ref.send_request(
+                     wire_text("GET /x HTTP/1.1\r\nX-Sim-Body: zz\r\n\r\n"),
+                     [&raw, c](Result<net::TcpMessage> r) { raw = std::move(r); });
+               });
+  sim.run();
+  ASSERT_TRUE(raw.ok());
+  const auto resp = HttpResponse::from_tcp(raw.value());
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.value().status, 400);
+
+  constexpr net::Port kRawPort = 8081;
+  tcp->listen(server, kRawPort,
+              [](const net::TcpMessage&, net::Endpoint, net::TcpResponder respond) {
+                respond(wire_text("HTTP/1.1 200 OK\r\nX-Sim-Body: 1e9\r\n\r\n"));
+              });
+  HttpClient http(*tcp, client);
+  Result<HttpResponse> fetched = make_error<HttpResponse>("not called");
+  HttpRequest req;
+  req.url = Url::parse("http://o/x").value();
+  http.fetch(net::Endpoint{server_ip, kRawPort}, std::move(req),
+             [&fetched](Result<HttpResponse> r, FetchTiming) { fetched = std::move(r); });
+  ASSERT_NO_THROW(sim.run());
+  EXPECT_FALSE(fetched.ok());
+}
 
 TEST_F(HttpFixture, ServerRoutesByLongestPrefix) {
   HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);

@@ -25,11 +25,12 @@ CHECKS: Dict[str, str] = {
     "raw-seconds": "raw double seconds variable instead of sim::Duration",
     "span-leak": "trace span context opened but never closed or handed off",
     "cursor-bypass": "direct MetricsRegistry read inside a window-capture path",
-    "hot-alloc": "heap allocation or by-name metric lookup in a hot-path file",
+    "hot-alloc": "heap allocation, string stream or by-name metric lookup in a hot-path file",
     "shard-ownership": "shard-local state unannotated or mutated cross-shard",
     "layer-graph": "include edge violating the committed layer map, or an include cycle",
     "callback-capture": "arena-slot reference or raw pointer captured into a deferred callback",
     "event-kind": "schedule/submit call in a hot-path file without an APE_EVT kind tag",
+    "throwing-parse": "std::sto* call: throws on malformed text instead of returning an error",
 }
 
 RAW_SECONDS_SUFFIX = re.compile(r"_(?:s|sec|secs|seconds)$")
@@ -471,6 +472,7 @@ def check_cursor_bypass(sf: SourceFile, symtab: SymbolTable,
 
 
 HOT_METRIC_NAMES = {"counter", "gauge", "histogram", "count"}
+STRING_STREAMS = {"istringstream", "ostringstream", "stringstream"}
 
 
 def check_hot_alloc(sf: SourceFile, symtab: SymbolTable,
@@ -504,6 +506,14 @@ def check_hot_alloc(sf: SourceFile, symtab: SymbolTable,
                 "make_unique/make_shared in a hot-path file — recycle through "
                 "an arena or keep state inline; annotate a deliberate cold-path "
                 "allocation with `// ape-lint: allow(hot-alloc)`"))
+        elif t.kind == "id" and t.value in STRING_STREAMS:
+            findings.append(_finding(
+                sf, t.line, "hot-alloc",
+                f"`{t.value}` in a hot-path file — a string stream allocates "
+                "its buffer and takes the locale on every construction; parse "
+                "in place over std::string_view (common/parse.hpp) and format "
+                "with std::to_chars; annotate a deliberate cold-path use with "
+                "`// ape-lint: allow(hot-alloc)`"))
         elif t.kind == "punct" and t.value in (".", "->") and i + 3 < n \
                 and tokens[i + 1].kind == "id" \
                 and tokens[i + 1].value in HOT_METRIC_NAMES \
@@ -515,6 +525,44 @@ def check_hot_alloc(sf: SourceFile, symtab: SymbolTable,
                 "hot-path file — resolve once into an obs::CounterHandle/"
                 "HistogramHandle at construction; annotate a deliberate "
                 "snapshot-time lookup with `// ape-lint: allow(hot-alloc)`"))
+    return findings
+
+
+# ----------------------------------------------------------- throwing parse
+
+STO_FAMILY = {"stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod", "stold"}
+
+
+def check_throwing_parse(sf: SourceFile, symtab: SymbolTable,
+                         cross: CrossContext) -> List[Finding]:
+    """Calls of std::stoi and its siblings, qualified or not.  They throw on
+    junk and on overflow, and nothing in src/ catches, so one malformed
+    header or datagram would abort a whole run.  Member calls (`x.stoi(`)
+    and declarations (`int stoi(`) are other functions and stay legal."""
+    findings: List[Finding] = []
+    tokens = sf.tokens
+    n = len(tokens)
+    for i, t in enumerate(tokens):
+        if t.kind != "id" or t.pp or t.value not in STO_FAMILY:
+            continue
+        nxt = tokens[i + 1] if i + 1 < n else None
+        if nxt is None or nxt.kind != "punct" or nxt.value != "(":
+            continue
+        prev = tokens[i - 1] if i > 0 else None
+        if prev is not None and prev.kind == "punct" and prev.value in (".", "->"):
+            continue
+        if prev is not None and prev.kind == "punct" and prev.value == "::":
+            qual = tokens[i - 2] if i >= 2 else None
+            if qual is None or qual.kind != "id" or qual.value != "std":
+                continue
+        elif prev is not None and prev.kind == "id" and prev.value != "return":
+            continue  # `int stoi(` declares a function of that name
+        findings.append(_finding(
+            sf, t.line, "throwing-parse",
+            f"`{t.value}` throws std::invalid_argument/std::out_of_range on "
+            "malformed text — parse simulated-network numbers with "
+            "ape::parse_int (common/parse.hpp), which returns a Result; "
+            "annotate a trusted-input site with `// ape-lint: allow(throwing-parse)`"))
     return findings
 
 
@@ -775,6 +823,7 @@ def run_per_file_checks(sf: SourceFile, symtab: SymbolTable, cross: CrossContext
     raw += check_shard_ownership(sf, symtab, cross, module)
     raw += check_callback_capture(sf, symtab, cross)
     raw += check_event_kind(sf, symtab, cross)
+    raw += check_throwing_parse(sf, symtab, cross)
     out: List[Finding] = []
     seen = set()
     for f in raw:
