@@ -8,7 +8,7 @@
 // hit path of each system (the AP for APE-CACHE/Wi-Cache, the edge server
 // for Edge Cache), sweeping the workload's mean usage frequency.
 #include "bench_common.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 
 using namespace ape;
 
@@ -63,8 +63,8 @@ void fig11b(bench::BenchReporter& reporter) {
     return h.mean();
   };
 
-  const std::vector<core::UrlHash> hashes{
-      core::hash_url("http://api.movietrailer.app/getMovieID")};
+  const std::vector<UrlHash> hashes{
+      hash_url("http://api.movietrailer.app/getMovieID")};
 
   // 1. DNS-Cache query (piggybacked lookup) against a fully cached domain.
   const double dns_cache = mean_of(

@@ -20,7 +20,7 @@ using cache::CacheStore;
 
 CacheEntry make_entry(std::size_t i, sim::Rng& rng) {
   CacheEntry e;
-  e.key = "obj" + std::to_string(i);
+  e.key = i;
   e.size_bytes = static_cast<std::size_t>(rng.uniform_int(1'000, 100'000));
   e.app_id = static_cast<std::uint32_t>(i % 30);
   e.priority = rng.bernoulli(0.4) ? 2 : 1;
@@ -39,7 +39,7 @@ void churn(benchmark::State& state, PolicyFactory factory) {
     for (std::size_t i = 0; i < 500; ++i) {
       store.insert(make_entry(i, rng), sim::Time{sim::seconds(static_cast<double>(i))});
       benchmark::DoNotOptimize(
-          store.get("obj" + std::to_string(i / 2), sim::Time{sim::seconds(1.0)}));
+          store.get(i / 2, sim::Time{sim::seconds(1.0)}));
     }
     benchmark::DoNotOptimize(store.used_bytes());
   }
@@ -78,7 +78,7 @@ void BM_HitLookup(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        store.get("obj" + std::to_string(i++ % 400), sim::Time{sim::seconds(1.0)}));
+        store.get(i++ % 400, sim::Time{sim::seconds(1.0)}));
   }
 }
 BENCHMARK(BM_HitLookup);

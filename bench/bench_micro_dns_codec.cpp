@@ -6,7 +6,7 @@
 #include "bench_micro_common.hpp"
 
 #include "core/dns_cache_record.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "dns/codec.hpp"
 
 namespace {
@@ -23,7 +23,7 @@ dns::DnsMessage make_query(std::size_t cache_entries) {
     std::vector<core::CacheLookupEntry> entries;
     for (std::size_t i = 0; i < cache_entries; ++i) {
       entries.push_back(core::CacheLookupEntry{
-          core::hash_url("http://api.movietrailer.app/obj" + std::to_string(i)),
+          hash_url("http://api.movietrailer.app/obj" + std::to_string(i)),
           core::CacheFlag::Delegation});
     }
     m.additionals.push_back(core::make_cache_request_rr(domain, entries));
@@ -77,7 +77,7 @@ BENCHMARK(BM_DecodeResponseWithCompression)->Arg(1)->Arg(4)->Arg(16);
 void BM_HashUrl(benchmark::State& state) {
   const std::string url = "http://api.movietrailer.app/getThumbnail";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::hash_url(url));
+    benchmark::DoNotOptimize(hash_url(url));
   }
 }
 BENCHMARK(BM_HashUrl);

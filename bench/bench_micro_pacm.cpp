@@ -19,7 +19,7 @@ std::vector<PacmObject> make_objects(std::size_t n, sim::Rng& rng,
   objects.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     PacmObject o;
-    o.key = "obj" + std::to_string(i);
+    o.key = i;
     o.app = static_cast<AppId>(i % 30);
     o.size_bytes = static_cast<std::size_t>(rng.uniform_int(1'000, max_size_bytes));
     o.priority = rng.bernoulli(0.4) ? 2 : 1;

@@ -216,7 +216,7 @@ int run_synthetic(bench::BenchReporter& reporter, const SyntheticSpec& spec) {
             ? zipf.sample(rng)
             : static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(
                                                               spec.keys - 1)));
-    const std::string key = spec.name + "/obj-" + std::to_string(rank);
+    const UrlHash key = obs::MrcProfiler::hash_key(spec.name + "/obj-" + std::to_string(rank));
     const std::uint64_t bytes = rank_size(rank);
     oracle.record_access(key, bytes);
     fixed.record_access(key, bytes);

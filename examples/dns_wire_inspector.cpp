@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "core/dns_cache_record.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "dns/codec.hpp"
 
 using namespace ape;
@@ -42,7 +42,7 @@ void describe(const dns::DnsMessage& message) {
                 view.value().is_request ? "REQUEST" : "RESPONSE",
                 view.value().domain.to_string().c_str());
     for (const auto& entry : view.value().entries) {
-      std::printf("    hash=%s flag=%s\n", core::hash_to_string(entry.hash).c_str(),
+      std::printf("    hash=%s flag=%s\n", hash_to_string(entry.hash).c_str(),
                   core::to_string(entry.flag));
     }
   }
@@ -53,10 +53,10 @@ void describe(const dns::DnsMessage& message) {
 int main() {
   const auto domain = dns::DnsName::parse("api.movietrailer.app").value();
   const std::string url = "http://api.movietrailer.app/getThumbnail";
-  const core::UrlHash hash = core::hash_url(url);
+  const UrlHash hash = hash_url(url);
 
   std::printf("URL: %s\nbase-URL hash (FNV-1a 64): %s\n\n", url.c_str(),
-              core::hash_to_string(hash).c_str());
+              hash_to_string(hash).c_str());
 
   // --- the client's DNS-Cache request --------------------------------
   dns::DnsMessage request;

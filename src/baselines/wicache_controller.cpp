@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "cache/lru_policy.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 
 namespace ape::baselines {
 
@@ -68,7 +68,7 @@ void WiCacheController::handle_lookup(std::uint64_t seq, const std::string& url,
   ++lookups_;
   const auto parsed = http::Url::parse(url);
   const std::string key =
-      parsed ? core::hash_to_string(core::hash_url(parsed.value().base())) : url;
+      parsed ? hash_to_string(hash_url(parsed.value().base())) : url;
   const std::string seq_text = std::to_string(seq);
 
   if (ap_keys_.contains(key)) {
@@ -115,8 +115,8 @@ WiCacheApAgent::~WiCacheApAgent() {
   network_.unbind_udp(node_, kWiCacheAgentControlPort);
 }
 
-void WiCacheApAgent::report(const std::string& action, const std::string& key) {
-  const std::string message = action + " " + key;
+void WiCacheApAgent::report(const char* action, UrlHash key) {
+  const std::string message = std::string(action) + " " + hash_to_string(key);
   network_.send_datagram(node_, kWiCacheAgentControlPort, controller_,
                          net::Payload(message.begin(), message.end()));
 }
@@ -135,7 +135,7 @@ void WiCacheApAgent::on_control(const net::Datagram& dgram) {
 void WiCacheApAgent::prefetch(const std::string& url, net::IpAddress edge_ip) {
   auto parsed = http::Url::parse(url);
   if (!parsed) return;
-  const std::string key = core::hash_to_string(core::hash_url(parsed.value().base()));
+  const UrlHash key = hash_url(parsed.value().base());
   const sim::Time now = network_.simulator().now();
   if (store_.peek(key, now) != nullptr) return;
 
@@ -171,7 +171,7 @@ void WiCacheApAgent::prefetch(const std::string& url, net::IpAddress edge_ip) {
 
 void WiCacheApAgent::serve(const http::HttpRequest& request,
                            http::HttpServer::Responder respond) {
-  const std::string key = core::hash_to_string(core::hash_url(request.url.base()));
+  const UrlHash key = hash_url(request.url.base());
   const sim::Time now = network_.simulator().now();
   const cache::CacheEntry* entry = store_.get(key, now);
   if (entry == nullptr) {

@@ -80,7 +80,8 @@ class WiCacheApAgent {
   void on_control(const net::Datagram& dgram);
   void prefetch(const std::string& url, net::IpAddress edge_ip);
   void serve(const http::HttpRequest& request, http::HttpServer::Responder respond);
-  void report(const std::string& action, const std::string& key);
+  // Sends "<action> <key>", the key as its hex text.
+  void report(const char* action, UrlHash key);
 
   APE_SHARD_SHARED net::Network& network_;
   APE_SHARD_LOCAL(ap) net::NodeId node_;

@@ -6,8 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_set>
+
+#include "common/url_hash.hpp"
 
 namespace ape::cache {
 
@@ -19,16 +20,16 @@ class BlockList {
     return object_size_bytes > threshold_;
   }
 
-  void block(const std::string& key) { blocked_.insert(key); }
-  void unblock(const std::string& key) { blocked_.erase(key); }
-  [[nodiscard]] bool contains(const std::string& key) const { return blocked_.contains(key); }
+  void block(UrlHash key) { blocked_.insert(key); }
+  void unblock(UrlHash key) { blocked_.erase(key); }
+  [[nodiscard]] bool contains(UrlHash key) const { return blocked_.contains(key); }
   [[nodiscard]] std::size_t size() const noexcept { return blocked_.size(); }
   [[nodiscard]] std::size_t threshold_bytes() const noexcept { return threshold_; }
   void clear() { blocked_.clear(); }
 
  private:
   std::size_t threshold_;
-  std::unordered_set<std::string> blocked_;
+  std::unordered_set<UrlHash> blocked_;
 };
 
 }  // namespace ape::cache

@@ -5,12 +5,13 @@
 #include <string>
 
 #include "common/removal_cause.hpp"
+#include "common/url_hash.hpp"
 #include "sim/time.hpp"
 
 namespace ape::cache {
 
 struct CacheEntry {
-  std::string key;                 // base URL (or its hash, rendered)
+  UrlHash key = 0;                 // hash of the base URL
   std::size_t size_bytes = 0;
   std::uint32_t app_id = 0;
   int priority = 1;                // developer-declared, 1 = low / 2 = high

@@ -7,21 +7,21 @@ void FifoPolicy::on_insert(const CacheEntry& entry) {
   order_.push_back(entry.key);
 }
 
-void FifoPolicy::on_erase(const std::string& key) {
+void FifoPolicy::on_erase(UrlHash key) {
   erased_.insert(key);
 }
 
-std::optional<std::vector<std::string>> FifoPolicy::select_victims(const CacheStore& store,
-                                                                   const CacheEntry& /*incoming*/,
-                                                                   std::size_t bytes_needed) {
+std::optional<std::vector<UrlHash>> FifoPolicy::select_victims(const CacheStore& store,
+                                                               const CacheEntry& /*incoming*/,
+                                                               std::size_t bytes_needed) {
   // Compact lazily-removed keys off the front as we scan.
   while (!order_.empty() && erased_.contains(order_.front())) {
     erased_.erase(order_.front());
     order_.pop_front();
   }
-  std::vector<std::string> victims;
+  std::vector<UrlHash> victims;
   std::size_t freed = 0;
-  for (const auto& key : order_) {
+  for (const UrlHash key : order_) {
     if (freed >= bytes_needed) break;
     if (erased_.contains(key)) continue;
     const CacheEntry* entry = store.lookup_any(key);

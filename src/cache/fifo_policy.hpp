@@ -13,14 +13,14 @@ class FifoPolicy final : public EvictionPolicy {
  public:
   void on_insert(const CacheEntry& entry) override;
   void on_access(const CacheEntry& /*entry*/) override {}
-  void on_erase(const std::string& key) override;
-  [[nodiscard]] std::optional<std::vector<std::string>> select_victims(
+  void on_erase(UrlHash key) override;
+  [[nodiscard]] std::optional<std::vector<UrlHash>> select_victims(
       const CacheStore& store, const CacheEntry& incoming, std::size_t bytes_needed) override;
   [[nodiscard]] std::string name() const override { return "FIFO"; }
 
  private:
-  std::deque<std::string> order_;  // front = oldest
-  std::unordered_set<std::string> erased_;  // lazy removals
+  std::deque<UrlHash> order_;  // front = oldest
+  std::unordered_set<UrlHash> erased_;  // lazy removals
 };
 
 }  // namespace ape::cache

@@ -27,11 +27,11 @@ void GdsfPolicy::on_access(const CacheEntry& entry) {
   it->second.h = value_of(entry, it->second.frequency, inflation_);
 }
 
-void GdsfPolicy::on_erase(const std::string& key) {
+void GdsfPolicy::on_erase(UrlHash key) {
   meta_.erase(key);
 }
 
-std::optional<std::vector<std::string>> GdsfPolicy::select_victims(
+std::optional<std::vector<UrlHash>> GdsfPolicy::select_victims(
     const CacheStore& store, const CacheEntry& /*incoming*/, std::size_t bytes_needed) {
   // Sort candidates by H ascending; evict the cheapest until freed.  The
   // stable sort over the key-sorted snapshot breaks equal-H ties by key, so
@@ -40,7 +40,7 @@ std::optional<std::vector<std::string>> GdsfPolicy::select_victims(
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const auto& a, const auto& b) { return a.second->h < b.second->h; });
 
-  std::vector<std::string> victims;
+  std::vector<UrlHash> victims;
   std::size_t freed = 0;
   double last_h = inflation_;
   for (const auto& [key, meta] : candidates) {

@@ -20,8 +20,8 @@ class GdsfPolicy final : public EvictionPolicy {
  public:
   void on_insert(const CacheEntry& entry) override;
   void on_access(const CacheEntry& entry) override;
-  void on_erase(const std::string& key) override;
-  [[nodiscard]] std::optional<std::vector<std::string>> select_victims(
+  void on_erase(UrlHash key) override;
+  [[nodiscard]] std::optional<std::vector<UrlHash>> select_victims(
       const CacheStore& store, const CacheEntry& incoming, std::size_t bytes_needed) override;
   [[nodiscard]] std::string name() const override { return "GDSF"; }
 
@@ -36,7 +36,7 @@ class GdsfPolicy final : public EvictionPolicy {
   [[nodiscard]] static double value_of(const CacheEntry& entry, std::uint64_t frequency,
                                        double inflation) noexcept;
 
-  std::unordered_map<std::string, Meta> meta_;
+  std::unordered_map<UrlHash, Meta> meta_;
   double inflation_ = 0.0;  // L
 };
 

@@ -16,13 +16,13 @@ void LfuPolicy::on_access(const CacheEntry& entry) {
   m.last_touch = ++tick_;
 }
 
-void LfuPolicy::on_erase(const std::string& key) {
+void LfuPolicy::on_erase(UrlHash key) {
   meta_.erase(key);
 }
 
-std::optional<std::vector<std::string>> LfuPolicy::select_victims(const CacheStore& store,
-                                                                  const CacheEntry& /*incoming*/,
-                                                                  std::size_t bytes_needed) {
+std::optional<std::vector<UrlHash>> LfuPolicy::select_victims(const CacheStore& store,
+                                                              const CacheEntry& /*incoming*/,
+                                                              std::size_t bytes_needed) {
   // Sort candidates by (frequency asc, last_touch asc); last_touch ticks are
   // unique, so the order is total.  The key-sorted snapshot keeps the walk
   // off the raw hash order.
@@ -34,7 +34,7 @@ std::optional<std::vector<std::string>> LfuPolicy::select_victims(const CacheSto
     return a.second->last_touch < b.second->last_touch;
   });
 
-  std::vector<std::string> victims;
+  std::vector<UrlHash> victims;
   std::size_t freed = 0;
   for (const auto& [key, _] : candidates) {
     if (freed >= bytes_needed) break;

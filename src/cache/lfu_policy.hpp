@@ -12,8 +12,8 @@ class LfuPolicy final : public EvictionPolicy {
  public:
   void on_insert(const CacheEntry& entry) override;
   void on_access(const CacheEntry& entry) override;
-  void on_erase(const std::string& key) override;
-  [[nodiscard]] std::optional<std::vector<std::string>> select_victims(
+  void on_erase(UrlHash key) override;
+  [[nodiscard]] std::optional<std::vector<UrlHash>> select_victims(
       const CacheStore& store, const CacheEntry& incoming, std::size_t bytes_needed) override;
   [[nodiscard]] std::string name() const override { return "LFU"; }
 
@@ -22,7 +22,7 @@ class LfuPolicy final : public EvictionPolicy {
     std::uint64_t frequency = 0;
     std::uint64_t last_touch = 0;  // logical tick for tie-break
   };
-  std::unordered_map<std::string, Meta> meta_;
+  std::unordered_map<UrlHash, Meta> meta_;
   std::uint64_t tick_ = 0;
 };
 

@@ -2,9 +2,11 @@
 
 namespace ape::cache {
 
-void LruPolicy::touch(const std::string& key) {
+void LruPolicy::touch(UrlHash key) {
   if (auto it = index_.find(key); it != index_.end()) {
-    order_.erase(it->second);
+    // Move the key's node to the front: a hit allocates nothing.
+    order_.splice(order_.begin(), order_, it->second);
+    return;
   }
   order_.push_front(key);
   index_[key] = order_.begin();
@@ -18,17 +20,17 @@ void LruPolicy::on_access(const CacheEntry& entry) {
   touch(entry.key);
 }
 
-void LruPolicy::on_erase(const std::string& key) {
+void LruPolicy::on_erase(UrlHash key) {
   if (auto it = index_.find(key); it != index_.end()) {
     order_.erase(it->second);
     index_.erase(it);
   }
 }
 
-std::optional<std::vector<std::string>> LruPolicy::select_victims(const CacheStore& store,
-                                                                  const CacheEntry& /*incoming*/,
-                                                                  std::size_t bytes_needed) {
-  std::vector<std::string> victims;
+std::optional<std::vector<UrlHash>> LruPolicy::select_victims(const CacheStore& store,
+                                                              const CacheEntry& /*incoming*/,
+                                                              std::size_t bytes_needed) {
+  std::vector<UrlHash> victims;
   std::size_t freed = 0;
   // Walk from the least recently used end.
   for (auto it = order_.rbegin(); it != order_.rend() && freed < bytes_needed; ++it) {

@@ -13,16 +13,16 @@ class LruPolicy final : public EvictionPolicy {
  public:
   void on_insert(const CacheEntry& entry) override;
   void on_access(const CacheEntry& entry) override;
-  void on_erase(const std::string& key) override;
-  [[nodiscard]] std::optional<std::vector<std::string>> select_victims(
+  void on_erase(UrlHash key) override;
+  [[nodiscard]] std::optional<std::vector<UrlHash>> select_victims(
       const CacheStore& store, const CacheEntry& incoming, std::size_t bytes_needed) override;
   [[nodiscard]] std::string name() const override { return "LRU"; }
 
  private:
-  void touch(const std::string& key);
+  void touch(UrlHash key);
 
-  std::list<std::string> order_;  // front = most recent
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
+  std::list<UrlHash> order_;  // front = most recent
+  std::unordered_map<UrlHash, std::list<UrlHash>::iterator> index_;
 };
 
 }  // namespace ape::cache

@@ -1,3 +1,4 @@
+// ape-lint: hot-path
 #include "cache/object_store.hpp"
 
 #include <cassert>
@@ -29,7 +30,7 @@ CacheStore::InsertOutcome CacheStore::insert(CacheEntry entry, sim::Time now) {
       return InsertOutcome::Rejected;
     }
     std::size_t freed = 0;
-    for (const auto& key : *victims) {
+    for (const UrlHash key : *victims) {
       auto it = entries_.find(key);
       if (it == entries_.end()) continue;
       freed += it->second.size_bytes;
@@ -52,7 +53,7 @@ CacheStore::InsertOutcome CacheStore::insert(CacheEntry entry, sim::Time now) {
   return InsertOutcome::Inserted;
 }
 
-const CacheEntry* CacheStore::get(const std::string& key, sim::Time now) {
+const CacheEntry* CacheStore::get(UrlHash key, sim::Time now) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   if (it->second.expired_at(now)) {
@@ -65,18 +66,18 @@ const CacheEntry* CacheStore::get(const std::string& key, sim::Time now) {
   return &it->second;
 }
 
-const CacheEntry* CacheStore::peek(const std::string& key, sim::Time now) const {
+const CacheEntry* CacheStore::peek(UrlHash key, sim::Time now) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.expired_at(now)) return nullptr;
   return &it->second;
 }
 
-const CacheEntry* CacheStore::lookup_any(const std::string& key) const {
+const CacheEntry* CacheStore::lookup_any(UrlHash key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool CacheStore::erase(const std::string& key) {
+bool CacheStore::erase(UrlHash key) {
   if (!entries_.contains(key)) return false;
   erase_internal(key, RemovalCause::Erased);
   return true;
@@ -86,7 +87,7 @@ void CacheStore::notify_removal(const CacheEntry& entry, RemovalCause cause) {
   for (const auto& listener : removal_listeners_) listener(entry, cause);
 }
 
-void CacheStore::erase_internal(const std::string& key, RemovalCause cause) {
+void CacheStore::erase_internal(UrlHash key, RemovalCause cause) {
   auto it = entries_.find(key);
   assert(it != entries_.end());
   assert(used_ >= it->second.size_bytes);
@@ -119,10 +120,6 @@ void CacheStore::clear() {
   }
   entries_.clear();
   used_ = 0;
-}
-
-void CacheStore::for_each(const std::function<void(const CacheEntry&)>& fn) const {
-  for (const auto& [_, entry] : entries_) fn(entry);
 }
 
 std::vector<const CacheEntry*> CacheStore::entries() const {

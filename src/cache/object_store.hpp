@@ -25,13 +25,13 @@ class EvictionPolicy {
 
   virtual void on_insert(const CacheEntry& entry) = 0;
   virtual void on_access(const CacheEntry& entry) = 0;
-  virtual void on_erase(const std::string& key) = 0;
+  virtual void on_erase(UrlHash key) = 0;
 
   // Chooses keys to evict so that `bytes_needed` become free for
   // `incoming`.  Returning nullopt rejects the insertion instead (the
   // incoming object is judged not worth the evictions).  The store
   // guarantees `incoming.size_bytes <= capacity`.
-  [[nodiscard]] virtual std::optional<std::vector<std::string>> select_victims(
+  [[nodiscard]] virtual std::optional<std::vector<UrlHash>> select_victims(
       const CacheStore& store, const CacheEntry& incoming, std::size_t bytes_needed) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -50,14 +50,14 @@ class CacheStore {
 
   // Valid (unexpired) lookup; records the access. Expired entries are
   // erased lazily here.
-  [[nodiscard]] const CacheEntry* get(const std::string& key, sim::Time now);
+  [[nodiscard]] const CacheEntry* get(UrlHash key, sim::Time now);
   // Lookup without access side effects (for cache-status probes).
-  [[nodiscard]] const CacheEntry* peek(const std::string& key, sim::Time now) const;
+  [[nodiscard]] const CacheEntry* peek(UrlHash key, sim::Time now) const;
   // Lookup ignoring expiry (policy bookkeeping needs entry sizes even when
   // an entry happens to be stale).
-  [[nodiscard]] const CacheEntry* lookup_any(const std::string& key) const;
+  [[nodiscard]] const CacheEntry* lookup_any(UrlHash key) const;
 
-  bool erase(const std::string& key);
+  bool erase(UrlHash key);
   // Drops every expired entry; returns bytes reclaimed.
   std::size_t sweep_expired(sim::Time now);
   void clear();
@@ -66,7 +66,12 @@ class CacheStore {
   [[nodiscard]] std::size_t used_bytes() const noexcept { return used_; }
   [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
 
-  void for_each(const std::function<void(const CacheEntry&)>& fn) const;
+  // Visits entries in key order.  A template, not a std::function: PACM
+  // walks the whole store on every solve.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [_, entry] : entries_) fn(entry);
+  }
   [[nodiscard]] std::vector<const CacheEntry*> entries() const;
 
   [[nodiscard]] const EvictionPolicy& policy() const noexcept { return *policy_; }
@@ -101,7 +106,7 @@ class CacheStore {
   [[nodiscard]] bool retain_expired() const noexcept { return retain_expired_; }
 
  private:
-  void erase_internal(const std::string& key, RemovalCause cause);
+  void erase_internal(UrlHash key, RemovalCause cause);
   void notify_removal(const CacheEntry& entry, RemovalCause cause);
 
   std::vector<std::function<void(const CacheEntry&, RemovalCause)>> removal_listeners_;
@@ -112,7 +117,7 @@ class CacheStore {
   std::unique_ptr<EvictionPolicy> policy_;
   // Ordered by key: for_each/entries() feed eviction solvers and metric
   // exports, so iteration order must be canonical (ape-lint: unordered-iter).
-  std::map<std::string, CacheEntry> entries_;
+  std::map<UrlHash, CacheEntry> entries_;
   std::size_t evictions_ = 0;
   std::size_t rejections_ = 0;
   bool retain_expired_ = false;

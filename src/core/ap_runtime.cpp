@@ -13,7 +13,6 @@
 #include "cache/lru_policy.hpp"
 #include "core/pacm_policy.hpp"
 #include "core/trace_propagation.hpp"
-#include "core/url_hash.hpp"
 #include "http/origin_server.hpp"
 
 namespace ape::core {
@@ -487,9 +486,6 @@ ApRuntime::FlagSet ApRuntime::collect_flags(const dns::DnsName& domain,
     domain_hashes_[domain].insert(e.hash);
   }
 
-  std::unordered_set<UrlHash> requested_set;
-  for (const auto& e : requested) requested_set.insert(e.hash);
-
   FlagSet out;
   out.all_cached = true;
   const auto& hashes = domain_hashes_[domain];
@@ -503,13 +499,12 @@ ApRuntime::FlagSet ApRuntime::collect_flags(const dns::DnsName& domain,
   // ape-lint: allow(unordered-iter)
   for (UrlHash h : hashes) {
     CacheFlag flag;
-    const std::string key = hash_to_string(h);
-    if (data_cache_->peek(key, now) != nullptr ||
-        (tiered_ != nullptr && tiered_->flash_contains(key, now))) {
+    if (data_cache_->peek(h, now) != nullptr ||
+        (tiered_ != nullptr && tiered_->flash_contains(h, now))) {
       // A valid flash copy is still a Cache-Hit: the AP serves it locally
       // (at flash cost) without touching the edge.
       flag = CacheFlag::CacheHit;
-    } else if (block_list_.contains(key)) {
+    } else if (block_list_.contains(h)) {
       flag = CacheFlag::CacheMiss;
       out.all_cached = false;
       out.needs_edge = true;
@@ -521,7 +516,8 @@ ApRuntime::FlagSet ApRuntime::collect_flags(const dns::DnsName& domain,
 
     // Only the explicitly requested hashes count toward hit statistics;
     // batched extras are opportunistic.
-    if (requested_set.contains(h)) {
+    if (std::any_of(requested.begin(), requested.end(),
+                    [h](const CacheLookupEntry& e) { return e.hash == h; })) {
       const auto info = url_index_.find(h);
       const int priority = info == url_index_.end() ? 1 : info->second.priority;
       switch (flag) {
@@ -548,9 +544,9 @@ ApRuntime::FlagSet ApRuntime::collect_flags(const dns::DnsName& domain,
         } else if (flag == CacheFlag::Delegation) {
           outcome = obs::LookupOutcome::Delegation;
         }
-        const cache::CacheEntry* cached = data_cache_->peek(key, now);
+        const cache::CacheEntry* cached = data_cache_->peek(h, now);
         const AppId app = info == url_index_.end() ? 0 : info->second.app;
-        analytics_->on_lookup(key, cached != nullptr ? cached->size_bytes : 0,
+        analytics_->on_lookup(h, cached != nullptr ? cached->size_bytes : 0,
                               std::to_string(app), outcome);
       }
     }
@@ -582,7 +578,6 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
   }
   const std::string base = request.url.base();
   const UrlHash hash = hash_url(base);
-  const std::string key = hash_to_string(hash);
   const sim::Time now = network_.simulator().now();
   // A relayed fetch from a neighbor AP (X-Ape-Peer carries the asker's
   // fleet id): serve it from the local cache or 404 — peers never delegate
@@ -616,25 +611,25 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
   // get() lazily erases it.
   std::optional<cache::CacheEntry> stale;
   if (options_.config.enable_revalidation) {
-    if (const auto* old = data_cache_->lookup_any(key);
+    if (const auto* old = data_cache_->lookup_any(hash);
         old != nullptr && old->expired_at(now) && !old->etag.empty()) {
       stale = *old;
     }
   }
 
-  if (const cache::CacheEntry* entry = data_cache_->get(key, now); entry != nullptr) {
+  if (const cache::CacheEntry* entry = data_cache_->get(hash, now); entry != nullptr) {
     if (peer_request) hot_.peer_serves.add();
     serve_from_cache(*entry, std::move(respond));
     return;
   }
 
-  if (tiered_ != nullptr && tiered_->flash_contains(key, now)) {
+  if (tiered_ != nullptr && tiered_->flash_contains(hash, now)) {
     // Flash hit: read the body off the device (paying flash time rather
     // than an edge round trip), promote if the RAM policy takes it, serve.
     hot_.http_flash_serves.add();
     obs::ScopedTraceContext ambient(spans(), serve_span);  // -> ap.flash.read
     tiered_->fetch_flash(
-        key, now,
+        hash, now,
         [this, request, hash, serve_span, peer_request, stale = std::move(stale),
          respond = std::move(respond)](std::optional<cache::CacheEntry> entry) mutable {
           if (entry.has_value()) {
@@ -668,12 +663,12 @@ void ApRuntime::finish_http_miss(const http::HttpRequest& request, UrlHash hash,
   if (peer_resolver_ != nullptr) {
     hot_.peer_probes.add();
     obs::TraceContext probe_span;
-    if (obs::SpanLog* log = spans(); log != nullptr) {
+    if (obs::SpanLog* log = spans(); log != nullptr && log->enabled()) {
       probe_span = log->open(parent, "ap.peer_probe", "ap", hash_to_string(hash),
                              network_.simulator().now());
     }
     peer_resolver_->lookup_peer(
-        hash_to_string(hash), probe_span,
+        hash, probe_span,
         [this, request, hash, probe_span, parent, stale = std::move(stale),
          respond = std::move(respond)](std::optional<PeerLocation> peer) mutable {
           if (obs::SpanLog* log = spans(); log != nullptr) {
@@ -711,8 +706,6 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
                                 std::optional<cache::CacheEntry> stale,
                                 const obs::TraceContext& parent,
                                 http::HttpServer::Responder respond) {
-  const std::string key = hash_to_string(hash);
-
   http::HttpRequest relay;
   relay.method = "GET";
   relay.url = request.url;
@@ -730,7 +723,7 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
   obs::ScopedTraceContext ambient(log, fetch_span);  // -> net.connect
   edge_client_.fetch(
       net::Endpoint{peer.ip, net::kHttpPort}, std::move(relay),
-      [this, request, hash, key, fetch_span, parent, stale = std::move(stale),
+      [this, request, hash, fetch_span, parent, stale = std::move(stale),
        respond = std::move(respond)](Result<http::HttpResponse> result,
                                      http::FetchTiming) mutable {
         const sim::Time now = network_.simulator().now();
@@ -741,7 +734,7 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
           // advertised.  Tell the resolver (it drops its cached answer and
           // counts the stale redirect) and degrade to the pre-fleet path —
           // a stale answer must cost latency, never correctness.
-          peer_resolver_->note_stale(key);
+          peer_resolver_->note_stale(hash);
           hot_.peer_fallbacks.add();
           miss_fallback(request, hash, std::move(stale), parent, std::move(respond));
           return;
@@ -843,7 +836,6 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
          fetch_span, stale = std::move(stale), respond = std::move(respond)](
             Result<http::HttpResponse> result, http::FetchTiming) mutable {
           const sim::Time now = network_.simulator().now();
-          const std::string key = hash_to_string(hash);
           if (obs::SpanLog* slog = spans(); slog != nullptr) slog->close(fetch_span, now);
 
           if (result && result.value().status == 304 && stale) {
@@ -895,11 +887,11 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
 
           if (block_list_.should_block(size)) {
             // Too large to ever cache: remember that and stop delegating.
-            block_list_.block(key);
+            block_list_.block(hash);
             hot_.block_listed.add();
           } else {
             cache::CacheEntry entry;
-            entry.key = key;
+            entry.key = hash;
             entry.size_bytes = size;
             entry.app_id = app;
             entry.priority = priority;

@@ -193,17 +193,22 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
                }
 
                CacheFlag flag = CacheFlag::Delegation;
-               DomainState state;
-               state.ip = ip;
-               if (auto view = extract_dns_cache(response.value());
-                   view && !view.value().is_request) {
+               auto view = extract_dns_cache(response.value());
+               const bool has_flags = view && !view.value().is_request;
+               if (has_flags) {
                  for (const auto& e : view.value().entries) {
-                   state.flags[e.hash] = e.flag;
                    if (e.hash == hash) flag = e.flag;
                  }
                }
+               // Only a real answer is reused within its TTL; the TTL-0
+               // dummy (the usual answer) keeps no flag state.
                if (ttl > 0 && ip != net::kDummyIp) {
+                 DomainState state;
+                 state.ip = ip;
                  state.expires = network_.simulator().now() + sim::seconds(ttl);
+                 if (has_flags) {
+                   for (const auto& e : view.value().entries) state.flags[e.hash] = e.flag;
+                 }
                  domains_[target.url.host] = std::move(state);
                }
                dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,

@@ -27,7 +27,7 @@
 #include "core/config.hpp"
 #include "core/dns_cache_record.hpp"
 #include "core/frequency_tracker.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "dns/stub_resolver.hpp"
 #include "http/endpoint.hpp"
 #include "obs/observer.hpp"

@@ -13,8 +13,13 @@ const char* to_string(CacheFlag flag) noexcept {
   return "?";
 }
 
+namespace {
+constexpr std::size_t kTupleBytes = 9;  // HASH(URL) : 8 bytes, FLAG : 1 byte
+}  // namespace
+
 std::vector<std::uint8_t> encode_cache_rdata(const std::vector<CacheLookupEntry>& entries) {
   dns::ByteWriter w;
+  w.reserve(kTupleBytes * entries.size());
   for (const auto& e : entries) {
     w.u64(e.hash);
     w.u8(static_cast<std::uint8_t>(e.flag));
@@ -24,7 +29,6 @@ std::vector<std::uint8_t> encode_cache_rdata(const std::vector<CacheLookupEntry>
 
 Result<std::vector<CacheLookupEntry>> decode_cache_rdata(
     const std::vector<std::uint8_t>& rdata) {
-  constexpr std::size_t kTupleBytes = 9;
   if (rdata.size() % kTupleBytes != 0) {
     return make_error<std::vector<CacheLookupEntry>>("DNS-Cache RDATA not a tuple multiple");
   }

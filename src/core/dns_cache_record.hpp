@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "dns/message.hpp"
 
 namespace ape::core {

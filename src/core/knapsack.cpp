@@ -1,3 +1,4 @@
+// ape-lint: hot-path
 #include "core/knapsack.hpp"
 
 #include <algorithm>
@@ -5,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace ape::core {
 
@@ -17,37 +19,49 @@ std::size_t units(std::size_t bytes) {
   return (bytes + kGranularity - 1) / kGranularity;
 }
 
-KnapsackResult solve_greedy(std::span<const KnapsackItem> items, std::size_t capacity_bytes) {
-  KnapsackResult result;
+// Utility-density greedy.  Ties keep input order (the store's key order):
+// the index breaks them, which is what a stable sort would do, without the
+// stable sort's temporary buffer.
+void solve_greedy(std::span<const KnapsackItem> items, std::size_t capacity_bytes,
+                  KnapsackWorkspace& ws) {
+  KnapsackResult& result = ws.result;
   result.exact = false;
   result.selected.assign(items.size(), false);
 
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Stable: equal-density items keep input order (the store's key order).
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = items[a].weight == 0
-                          ? items[a].value
-                          : items[a].value / static_cast<double>(items[a].weight);
-    const double db = items[b].weight == 0
-                          ? items[b].value
-                          : items[b].value / static_cast<double>(items[b].weight);
-    return da > db;
+  ws.density.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ws.density[i] = items[i].weight == 0
+                        ? items[i].value
+                        : items[i].value / static_cast<double>(items[i].weight);
+  }
+  ws.order.resize(items.size());
+  std::iota(ws.order.begin(), ws.order.end(), std::size_t{0});
+  std::sort(ws.order.begin(), ws.order.end(), [&](std::size_t a, std::size_t b) {
+    if (ws.density[a] != ws.density[b]) return ws.density[a] > ws.density[b];
+    return a < b;
   });
 
-  for (std::size_t idx : order) {
+  for (std::size_t idx : ws.order) {
     if (result.total_weight + items[idx].weight > capacity_bytes) continue;
     result.selected[idx] = true;
     result.total_weight += items[idx].weight;
     result.total_value += items[idx].value;
   }
-  return result;
 }
 
 }  // namespace
 
 KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t capacity_bytes,
                               std::size_t dp_budget) {
+  KnapsackWorkspace workspace;
+  solve_knapsack(items, capacity_bytes, dp_budget, workspace);
+  return std::move(workspace.result);
+}
+
+const KnapsackResult& solve_knapsack(std::span<const KnapsackItem> items,
+                                     std::size_t capacity_bytes, std::size_t dp_budget,
+                                     KnapsackWorkspace& ws) {
+  using Row = KnapsackWorkspace::Row;
   const std::size_t n = items.size();
   // Item weights round up to DP units; capacity rounds up too so that
   // exact byte fits (item == capacity) stay feasible.  The optimistic
@@ -55,21 +69,26 @@ KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t c
   // pass below removes.
   const std::size_t cap_units = units(capacity_bytes);
 
-  if (n == 0) return KnapsackResult{{}, 0.0, 0, true};
-  if (n * (cap_units + 1) > dp_budget) return solve_greedy(items, capacity_bytes);
+  KnapsackResult& result = ws.result;
+  result.selected.clear();
+  result.total_value = 0.0;
+  result.total_weight = 0;
+  result.exact = true;
+  if (n == 0) return result;
+  if (n * (cap_units + 1) > dp_budget) {
+    solve_greedy(items, capacity_bytes, ws);
+    return result;
+  }
 
   // Row windows (knapsack.hpp): row i fills only columns [lo, hi], where
   // hi = min(C, P_i) and lo = max(w_i, min(max(0, C - S_{i+1}), P_i)).
   // P_i / S_{i+1} are the prefix / suffix unit sums of the items that fit.
-  struct Row {
-    std::size_t lo = 1, hi = 0;  // empty: the item never fits
-    std::size_t offset = 0;      // first cell of the row in `taken`
-  };
   std::size_t fit_units = 0;
   for (const KnapsackItem& item : items) {
     if (units(item.weight) <= cap_units) fit_units += units(item.weight);
   }
-  std::vector<Row> rows(n);
+  std::vector<Row>& rows = ws.rows;
+  rows.assign(n, Row{});
   std::size_t prefix = 0;
   std::size_t cells = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -87,9 +106,12 @@ KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t c
   // the last row (every cell above P_i equals the one at P_i); `taken`
   // holds each row's window of improvement flags for the backtrack, one
   // byte per cell: independent byte stores keep the row loop about twice
-  // as fast as packed bits.
-  std::vector<double> dp(std::min(cap_units, fit_units) + 1, 0.0);
-  std::vector<std::uint8_t> taken(cells, 0);
+  // as fast as packed bits.  The row loop writes every cell of its window
+  // and takes no data-dependent branch, which would mispredict.
+  std::vector<double>& dp = ws.dp;
+  dp.assign(std::min(cap_units, fit_units) + 1, 0.0);
+  std::vector<std::uint8_t>& taken = ws.taken;
+  taken.resize(cells);
   std::size_t top = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Row& row = rows[i];
@@ -98,17 +120,20 @@ KnapsackResult solve_knapsack(std::span<const KnapsackItem> items, std::size_t c
               dp.begin() + static_cast<std::ptrdiff_t>(row.hi + 1), dp[top]);
     top = row.hi;
     const std::size_t w = units(items[i].weight);
-    for (std::size_t c = row.hi + 1; c-- > row.lo;) {
-      const double candidate = dp[c - w] + items[i].value;
-      if (candidate > dp[c]) {
-        dp[c] = candidate;
-        taken[row.offset + (c - row.lo)] = 1;
-      }
+    const double value = items[i].value;
+    const std::size_t lo = row.lo;
+    const std::size_t width = row.hi - lo + 1;
+    double* const cell = dp.data() + lo;
+    const double* const from = dp.data() + (lo - w);
+    std::uint8_t* const took = taken.data() + row.offset;
+    for (std::size_t k = width; k-- > 0;) {
+      const double candidate = from[k] + value;
+      const bool better = candidate > cell[k];
+      cell[k] = better ? candidate : cell[k];
+      took[k] = better;
     }
   }
 
-  KnapsackResult result;
-  result.exact = true;
   result.selected.assign(n, false);
   result.total_value = dp[top];
 

@@ -44,6 +44,29 @@ struct KnapsackResult {
   bool exact = true;
 };
 
+// The solver's buffers, for a caller that solves again and again (PACM
+// solves on every insert at capacity): a solve reuses them and allocates
+// only when it needs more room than every solve before it.
+struct KnapsackWorkspace {
+  struct Row {
+    std::size_t lo = 1, hi = 0;  // empty: the item never fits
+    std::size_t offset = 0;      // first cell of the row in `taken`
+  };
+  std::vector<Row> rows;
+  std::vector<double> dp;
+  std::vector<std::uint8_t> taken;
+  std::vector<double> density;     // greedy fallback
+  std::vector<std::size_t> order;  // greedy fallback
+  KnapsackResult result;
+};
+
+// Solves into `workspace.result` and returns it; the result stays valid
+// until the next solve with the same workspace.
+const KnapsackResult& solve_knapsack(std::span<const KnapsackItem> items,
+                                     std::size_t capacity_bytes, std::size_t dp_budget,
+                                     KnapsackWorkspace& workspace);
+
+// One-shot form over a fresh workspace.
 [[nodiscard]] KnapsackResult solve_knapsack(std::span<const KnapsackItem> items,
                                             std::size_t capacity_bytes,
                                             std::size_t dp_budget = 40'000'000);

@@ -1,7 +1,9 @@
+// ape-lint: hot-path
 #include "core/pacm_policy.hpp"
 
 #include <algorithm>
-#include <set>
+#include <string>
+#include <utility>
 
 #include "obs/observer.hpp"
 
@@ -17,7 +19,7 @@ PacmPolicy::PacmPolicy(const ApeConfig& config, const sim::Simulator& clock,
   solver_.set_observer(observer_);
 }
 
-std::optional<std::vector<std::string>> PacmPolicy::select_victims(
+std::optional<std::vector<UrlHash>> PacmPolicy::select_victims(
     const cache::CacheStore& store, const cache::CacheEntry& incoming,
     std::size_t /*bytes_needed*/) {
   ++invocations_;
@@ -27,18 +29,16 @@ std::optional<std::vector<std::string>> PacmPolicy::select_victims(
   // inserting hop's span is on the ambient stack.  Zero sim-time duration —
   // the span marks *where* on the critical path the solve happened.
   obs::TraceContext solve_span;
-  if (observer_ != nullptr) {
+  if (observer_ != nullptr && observer_->spans_enabled()) {
     obs::SpanLog& log = observer_->spans();
-    solve_span = log.open(log.current_context(), "pacm.solve", "pacm", incoming.key, now);
+    // ape-lint: allow(hot-alloc) -- a span key, in traced runs only
+    std::string text = hash_to_string(incoming.key);
+    solve_span = log.open(log.current_context(), "pacm.solve", "pacm", std::move(text), now);
   }
 
-  std::vector<PacmObject> cached;
-  // Ordered: the frequency vector below is handed to the solver, and its
-  // order must not depend on hash-set iteration.
-  std::set<AppId> apps;
-  cached.reserve(store.entry_count());
+  candidates_.clear();
   store.for_each([&](const cache::CacheEntry& entry) {
-    PacmObject obj;
+    PacmObject& obj = candidates_.emplace_back();
     obj.key = entry.key;
     obj.app = entry.app_id;
     obj.size_bytes = entry.size_bytes;
@@ -51,18 +51,28 @@ std::optional<std::vector<std::string>> PacmPolicy::select_victims(
       obj.fetch_latency_ms =
           std::min(obj.fetch_latency_ms, std::max(0.01, demotion_latency_ms_(entry)));
     }
-    cached.push_back(std::move(obj));
-    apps.insert(entry.app_id);
   });
-  apps.insert(incoming.app_id);
 
-  std::vector<std::pair<AppId, double>> frequencies;
-  frequencies.reserve(apps.size());
-  for (AppId app : apps) frequencies.emplace_back(app, frequencies_.frequency(app, now));
+  // The frequency vector goes to the solver in AppId order, one entry per
+  // app with a cached object or the incoming one.  A few dozen apps share
+  // the candidates, so each lands by binary search in the short list.
+  app_frequencies_.clear();
+  const auto add_app = [this](AppId app) {
+    const auto it = std::lower_bound(
+        app_frequencies_.begin(), app_frequencies_.end(), app,
+        [](const std::pair<AppId, double>& entry, AppId id) { return entry.first < id; });
+    if (it == app_frequencies_.end() || it->first != app) {
+      app_frequencies_.emplace(it, app, 0.0);
+    }
+  };
+  for (const PacmObject& obj : candidates_) add_app(obj.app);
+  add_app(incoming.app_id);
+  for (auto& [app, frequency] : app_frequencies_) frequency = frequencies_.frequency(app, now);
 
   // The solver caps the kept set at (C - S), so evicting its complement
   // always frees at least `bytes_needed`.
-  PacmDecision decision = solver_.select_evictions(cached, incoming.size_bytes, frequencies);
+  PacmDecision decision =
+      solver_.select_evictions(candidates_, incoming.size_bytes, app_frequencies_);
   if (observer_ != nullptr) observer_->spans().close(solve_span, now);
   return std::move(decision.evict);
 }

@@ -25,9 +25,9 @@ class PacmPolicy final : public cache::EvictionPolicy {
 
   void on_insert(const cache::CacheEntry& /*entry*/) override {}
   void on_access(const cache::CacheEntry& /*entry*/) override {}
-  void on_erase(const std::string& /*key*/) override {}
+  void on_erase(UrlHash /*key*/) override {}
 
-  [[nodiscard]] std::optional<std::vector<std::string>> select_victims(
+  [[nodiscard]] std::optional<std::vector<UrlHash>> select_victims(
       const cache::CacheStore& store, const cache::CacheEntry& incoming,
       std::size_t bytes_needed) override;
 
@@ -53,6 +53,9 @@ class PacmPolicy final : public cache::EvictionPolicy {
   APE_SHARD_LOCAL(ap) std::function<double(const cache::CacheEntry&)> demotion_latency_ms_;
   APE_SHARD_LOCAL(ap) PacmSolver solver_;
   APE_SHARD_LOCAL(ap) std::size_t invocations_ = 0;
+  // The solver's inputs, rebuilt in place on every solve.
+  APE_SHARD_LOCAL(ap) std::vector<PacmObject> candidates_;
+  APE_SHARD_LOCAL(ap) std::vector<std::pair<AppId, double>> app_frequencies_;
 };
 
 }  // namespace ape::core

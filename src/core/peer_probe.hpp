@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 
+#include "common/url_hash.hpp"
 #include "net/address.hpp"
 #include "obs/span.hpp"
 
@@ -38,13 +38,13 @@ class PeerResolver {
   // Resolves `key` to a neighbor AP believed to cache it (never the asking
   // AP itself); nullopt when no peer holds it or the directory is
   // unreachable.  `parent` parents the resolver's "dir.lookup" span.
-  virtual void lookup_peer(const std::string& key, const obs::TraceContext& parent,
+  virtual void lookup_peer(UrlHash key, const obs::TraceContext& parent,
                            LookupHandler done) = 0;
 
   // Feedback from a failed redirect: the peer 404'd a key the directory
   // advertised (bounded staleness showing).  Implementations drop their
   // cached answer and count a stale redirect.
-  virtual void note_stale(const std::string& key) = 0;
+  virtual void note_stale(UrlHash key) = 0;
 };
 
 }  // namespace ape::core

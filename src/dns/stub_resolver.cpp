@@ -99,7 +99,7 @@ Result<ResolveResult> StubResolver::extract_address(const DnsMessage& response,
       if (rr.type == RrType::A) {
         auto ip = decode_a_rdata(rr.rdata);
         if (!ip) return make_error<ResolveResult>("bad A RDATA");
-        return ResolveResult{ip.value(), rr.ttl, response};
+        return ResolveResult{ip.value(), rr.ttl};
       }
       if (rr.type == RrType::Cname) {
         auto target = decode_cname_rdata(rr.rdata);

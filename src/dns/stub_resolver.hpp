@@ -6,8 +6,8 @@
 // matches responses, retries, and times out.
 //
 // StubResolver is the c-ares analogue linked into the mobile client: it
-// resolves a hostname to an address, surfacing the full response message so
-// the APE-CACHE client runtime can read the piggybacked DNS-Cache RR.
+// resolves a hostname to an address.  The APE-CACHE client runtime reads the
+// piggybacked DNS-Cache RR off the response message it queried for itself.
 #pragma once
 
 #include <functional>
@@ -66,8 +66,7 @@ class DnsClient {
 
 struct ResolveResult {
   net::IpAddress address;
-  std::uint32_t ttl = 0;         // of the A record
-  DnsMessage response;           // full message (additionals included)
+  std::uint32_t ttl = 0;  // of the A record
 };
 
 class StubResolver {

@@ -6,13 +6,17 @@
 #include <utility>
 
 #include "common/parse.hpp"
-#include "core/url_hash.hpp"
 
 namespace ape::fleet {
 
 namespace {
 net::Payload to_payload(const std::string& text) {
   return net::Payload(text.begin(), text.end());
+}
+
+// The wire protocol carries a key as its 16-digit hex text.
+void append_key(std::string& line, UrlHash key) {
+  line.append(render_url_hash(key).view());
 }
 
 FieldReader fields_of(const net::Payload& payload) {
@@ -24,9 +28,9 @@ FieldReader fields_of(const net::Payload& payload) {
 constexpr sim::Duration kShardServiceTime = sim::microseconds(150);
 }  // namespace
 
-std::size_t shard_of(const std::string& key, std::size_t shard_count) noexcept {
+std::size_t shard_of(UrlHash key, std::size_t shard_count) noexcept {
   assert(shard_count > 0);
-  return static_cast<std::size_t>(core::hash_url(key) % shard_count);
+  return static_cast<std::size_t>(hash_url(render_url_hash(key).view()) % shard_count);
 }
 
 // ---------------------------------------------------------------- shard
@@ -232,7 +236,7 @@ void DirectoryClient::attach(core::ApRuntime& ap) {
   });
 }
 
-void DirectoryClient::publish(const std::string& key) {
+void DirectoryClient::publish(UrlHash key) {
   holdings_.insert(key);
   hot_.publishes.add();
   if (auto* log = spans(); log != nullptr) {
@@ -241,26 +245,31 @@ void DirectoryClient::publish(const std::string& key) {
     // fire-and-forget wire traffic, but traced runs can see *when* the
     // copy became discoverable relative to the request's critical path.
     const sim::Time now = network_.simulator().now();
-    obs::TraceContext span = log->open(log->current_context(), "dir.publish", "dir", key, now);
+    // ape-lint: allow(hot-alloc) -- a span key, in traced runs only
+    std::string text = hash_to_string(key);
+    obs::TraceContext span =
+        log->open(log->current_context(), "dir.publish", "dir", std::move(text), now);
     log->close(span, now);
   }
-  send_to_shard(shard_of(key, options_.shards.size()),
-                "PUBLISH " + std::to_string(options_.ap_id) + " " + key + " " +
-                    std::to_string(options_.publish_ttl_s));
+  std::string line = "PUBLISH " + std::to_string(options_.ap_id) + " ";
+  append_key(line, key);
+  line += " " + std::to_string(options_.publish_ttl_s);
+  send_to_shard(shard_of(key, options_.shards.size()), line);
 }
 
-void DirectoryClient::retract(const std::string& key) {
+void DirectoryClient::retract(UrlHash key) {
   holdings_.erase(key);
   hot_.retracts.add();
-  send_to_shard(shard_of(key, options_.shards.size()),
-                "RETRACT " + std::to_string(options_.ap_id) + " " + key);
+  std::string line = "RETRACT " + std::to_string(options_.ap_id) + " ";
+  append_key(line, key);
+  send_to_shard(shard_of(key, options_.shards.size()), line);
 }
 
 void DirectoryClient::send_to_shard(std::size_t shard, const std::string& text) {
   network_.send_datagram(node_, options_.port, options_.shards[shard], to_payload(text));
 }
 
-void DirectoryClient::lookup_peer(const std::string& key, const obs::TraceContext& parent,
+void DirectoryClient::lookup_peer(UrlHash key, const obs::TraceContext& parent,
                                   LookupHandler done) {
   const sim::Time now = network_.simulator().now();
   if (auto it = answers_.find(key); it != answers_.end()) {
@@ -279,7 +288,9 @@ void DirectoryClient::lookup_peer(const std::string& key, const obs::TraceContex
   const std::uint64_t seq = next_seq_++;
   obs::TraceContext span;
   if (auto* log = spans(); log != nullptr) {
-    span = log->open(parent, "dir.lookup", "dir", key, now);
+    // ape-lint: allow(hot-alloc) -- a span key, in traced runs only
+    std::string text = hash_to_string(key);
+    span = log->open(parent, "dir.lookup", "dir", std::move(text), now);
   }
   Pending pending{key, std::move(done), span, 0};
   pending.timeout =
@@ -287,12 +298,13 @@ void DirectoryClient::lookup_peer(const std::string& key, const obs::TraceContex
           options_.lookup_timeout, [this, seq] { on_timeout(seq); },
           APE_EVT("ap.dir.lookup_timeout"));
   inflight_.emplace(seq, std::move(pending));
-  send_to_shard(shard_of(key, options_.shards.size()),
-                "LOOKUP " + std::to_string(seq) + " " + std::to_string(options_.ap_id) + " " +
-                    key);
+  std::string line =
+      "LOOKUP " + std::to_string(seq) + " " + std::to_string(options_.ap_id) + " ";
+  append_key(line, key);
+  send_to_shard(shard_of(key, options_.shards.size()), line);
 }
 
-void DirectoryClient::note_stale(const std::string& key) {
+void DirectoryClient::note_stale(UrlHash key) {
   hot_.stale_redirects.add();
   answers_.erase(key);
 }
@@ -371,10 +383,12 @@ void DirectoryClient::check_epoch(std::size_t shard, std::uint64_t epoch) {
   // The shard restarted with an empty registry: replay our holdings that
   // hash to it.  Duplicate PUBLISHes are idempotent on the shard.
   hot_.epoch_replays.add();
-  for (const std::string& key : holdings_) {
+  for (const UrlHash key : holdings_) {
     if (shard_of(key, options_.shards.size()) != shard) continue;
-    send_to_shard(shard, "PUBLISH " + std::to_string(options_.ap_id) + " " + key + " " +
-                             std::to_string(options_.publish_ttl_s));
+    std::string line = "PUBLISH " + std::to_string(options_.ap_id) + " ";
+    append_key(line, key);
+    line += " " + std::to_string(options_.publish_ttl_s);
+    send_to_shard(shard, line);
   }
 }
 
@@ -399,9 +413,10 @@ void DirectoryClient::renew_leases() {
   }
   for (std::size_t shard = 0; shard < options_.shards.size(); ++shard) {
     std::string keys;
-    for (const std::string& key : holdings_) {
+    for (const UrlHash key : holdings_) {
       if (shard_of(key, options_.shards.size()) != shard) continue;
-      keys += " " + key;
+      keys += ' ';
+      append_key(keys, key);
     }
     if (keys.empty()) continue;
     ++lease_acks_outstanding_;

@@ -35,6 +35,7 @@
 
 #include "cache/object_store.hpp"
 #include "common/shard.hpp"
+#include "common/url_hash.hpp"
 #include "core/ap_runtime.hpp"
 #include "core/peer_probe.hpp"
 #include "net/network.hpp"
@@ -46,9 +47,10 @@ namespace ape::fleet {
 inline constexpr net::Port kDirectoryShardPort = 5400;
 inline constexpr net::Port kDirectoryClientPort = 5401;
 
-// Stable key -> shard placement (FNV-1a over the key string); every client
-// and every shard must agree on `shard_count`.
-[[nodiscard]] std::size_t shard_of(const std::string& key, std::size_t shard_count) noexcept;
+// Stable key -> shard placement (FNV-1a over the key's hex text, the form
+// the wire carries); every client and every shard must agree on
+// `shard_count`.
+[[nodiscard]] std::size_t shard_of(UrlHash key, std::size_t shard_count) noexcept;
 
 // One directory shard: the authoritative (soft-state) registry for the keys
 // that hash to it.  Lives on a controller node; all state is reached
@@ -145,20 +147,20 @@ class DirectoryClient final : public core::PeerResolver {
   void attach(core::ApRuntime& ap);
 
   // --- core::PeerResolver --------------------------------------------------
-  void lookup_peer(const std::string& key, const obs::TraceContext& parent,
+  void lookup_peer(UrlHash key, const obs::TraceContext& parent,
                    LookupHandler done) override;
-  void note_stale(const std::string& key) override;
+  void note_stale(UrlHash key) override;
 
   // --- introspection -------------------------------------------------------
   [[nodiscard]] std::uint32_t ap_id() const noexcept { return options_.ap_id; }
-  [[nodiscard]] const std::set<std::string>& holdings() const noexcept { return holdings_; }
+  [[nodiscard]] const std::set<UrlHash>& holdings() const noexcept { return holdings_; }
   [[nodiscard]] std::uint64_t shard_epoch(std::size_t shard) const {
     return shard_epochs_.at(shard);
   }
 
  private:
   struct Pending {
-    std::string key;
+    UrlHash key = 0;
     LookupHandler handler;
     obs::TraceContext span;
     sim::Simulator::EventId timeout = 0;
@@ -171,8 +173,8 @@ class DirectoryClient final : public core::PeerResolver {
   void on_datagram(const net::Datagram& dgram);
   void on_timeout(std::uint64_t seq);
   void resolve(std::uint64_t seq, std::optional<core::PeerLocation> location);
-  void publish(const std::string& key);
-  void retract(const std::string& key);
+  void publish(UrlHash key);
+  void retract(UrlHash key);
   void send_to_shard(std::size_t shard, const std::string& text);
   // Epoch bump seen in any reply from `shard`: replay PUBLISHes for every
   // holding that hashes there (the shard restarted empty).
@@ -186,10 +188,10 @@ class DirectoryClient final : public core::PeerResolver {
   APE_SHARD_LOCAL(ap) Options options_;
   APE_SHARD_LOCAL(ap) std::uint64_t next_seq_ = 1;
   APE_SHARD_LOCAL(ap) std::map<std::uint64_t, Pending> inflight_;
-  APE_SHARD_LOCAL(ap) std::map<std::string, CachedAnswer> answers_;
+  APE_SHARD_LOCAL(ap) std::map<UrlHash, CachedAnswer> answers_;
   // Keys this AP's cache currently holds (mirrors the store's membership;
   // drives lease renewal and epoch replay).
-  APE_SHARD_LOCAL(ap) std::set<std::string> holdings_;
+  APE_SHARD_LOCAL(ap) std::set<UrlHash> holdings_;
   // Last epoch seen per shard; 0 = none yet (first observation never
   // triggers a replay).
   APE_SHARD_LOCAL(ap) std::vector<std::uint64_t> shard_epochs_;

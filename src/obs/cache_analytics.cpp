@@ -10,6 +10,12 @@ namespace {
 constexpr std::array<const char*, kRemovalCauseCount> kCauseNames = {
     "capacity", "expired", "replaced", "invalidated", "cleared"};
 
+// The profilers' key for a cache key: hash_key of its 16-digit hex text,
+// the text the committed MRC baselines sample on.
+UrlHash profile_key(UrlHash key) {
+  return MrcProfiler::hash_key(render_url_hash(key).view());
+}
+
 }  // namespace
 
 const char* to_string(RemovalCause cause) noexcept {
@@ -22,9 +28,10 @@ CacheAnalytics::CacheAnalytics(CacheAnalyticsConfig config) : config_(std::move(
   for (const MrcConfig& c : config_.profilers) profilers_.emplace_back(c);
 }
 
-void CacheAnalytics::on_lookup(const std::string& key, std::uint64_t size_bytes,
+void CacheAnalytics::on_lookup(UrlHash key, std::uint64_t size_bytes,
                                const std::string& app, LookupOutcome outcome) {
-  for (MrcProfiler& p : profilers_) p.record_access(key, size_bytes);
+  const UrlHash profiled = profile_key(key);
+  for (MrcProfiler& p : profilers_) p.record_access(profiled, size_bytes);
   AppTally& tally = app_tallies_[app];
   switch (outcome) {
     case LookupOutcome::Hit:
@@ -42,13 +49,14 @@ void CacheAnalytics::on_lookup(const std::string& key, std::uint64_t size_bytes,
   }
 }
 
-void CacheAnalytics::on_insert(const std::string& key, std::uint64_t size_bytes) {
+void CacheAnalytics::on_insert(UrlHash key, std::uint64_t size_bytes) {
   // The miss that triggered the fetch entered the profilers with a 0-byte
   // hint; charge the real footprint now that the object landed.
-  for (MrcProfiler& p : profilers_) p.update_size(key, size_bytes);
+  const UrlHash profiled = profile_key(key);
+  for (MrcProfiler& p : profilers_) p.update_size(profiled, size_bytes);
 }
 
-void CacheAnalytics::on_removal(const std::string& key, std::uint64_t size_bytes,
+void CacheAnalytics::on_removal(UrlHash key, std::uint64_t size_bytes,
                                 const std::string& app, RemovalCause cause,
                                 std::uint64_t access_count, sim::Time inserted,
                                 sim::Time last_access, sim::Time now) {

@@ -19,9 +19,9 @@
 // reconcile() re-checks it and `tools/obs_report.py mrc --validate`
 // re-checks it again offline.
 //
-// Keys/apps arrive as plain strings because obs sits *below* cache in the
-// layer map; the removal cause is the cache's own RemovalCause, which lives
-// in common/.
+// Keys arrive as the cache's UrlHash and apps as plain strings, because obs
+// sits *below* cache in the layer map; the key type and the removal cause
+// (the cache's own RemovalCause) both live in common/.
 #pragma once
 
 #include <array>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/removal_cause.hpp"
+#include "common/url_hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/mrc.hpp"
 #include "sim/time.hpp"
@@ -61,10 +62,10 @@ class CacheAnalytics {
 
   explicit CacheAnalytics(CacheAnalyticsConfig config = {});
 
-  void on_lookup(const std::string& key, std::uint64_t size_bytes, const std::string& app,
+  void on_lookup(UrlHash key, std::uint64_t size_bytes, const std::string& app,
                  LookupOutcome outcome);
-  void on_insert(const std::string& key, std::uint64_t size_bytes);
-  void on_removal(const std::string& key, std::uint64_t size_bytes, const std::string& app,
+  void on_insert(UrlHash key, std::uint64_t size_bytes);
+  void on_removal(UrlHash key, std::uint64_t size_bytes, const std::string& app,
                   RemovalCause cause, std::uint64_t access_count, sim::Time inserted,
                   sim::Time last_access, sim::Time now);
 

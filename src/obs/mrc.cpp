@@ -22,22 +22,12 @@ MrcProfiler::MrcProfiler(MrcConfig config)
     : config_(std::move(config)),
       threshold_(threshold_for(config_.sample_rate)),
       tree_(kInitialSlots + 1, 0),
-      slot_key_(kInitialSlots + 1),
       bucket_weights_(config_.max_buckets, 0.0) {
   if (config_.bucket_bytes == 0) config_.bucket_bytes = 64 * 1024;
   if (config_.max_buckets == 0) {
     config_.max_buckets = 1;
     bucket_weights_.assign(1, 0.0);
   }
-}
-
-std::uint64_t MrcProfiler::hash_key(const std::string& key) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
 }
 
 double MrcProfiler::current_rate() const noexcept {
@@ -56,40 +46,35 @@ std::uint64_t MrcProfiler::fenwick_prefix(std::size_t slot) const {
   return sum;
 }
 
-std::size_t MrcProfiler::take_slot(const std::string& key) {
+std::size_t MrcProfiler::take_slot() {
   if (next_slot_ >= tree_.size()) {
     // Out of slots.  If at least half the array is dead (vacated by
     // re-accesses), re-packing in place is enough; otherwise double first.
     const std::size_t capacity = tree_.size() - 1;
     compact(keys_.size() + 1 > capacity / 2 ? capacity * 2 : capacity);
   }
-  const std::size_t slot = next_slot_++;
-  slot_key_[slot] = key;
-  return slot;
+  return next_slot_++;
 }
 
 void MrcProfiler::vacate(Tracked& t) {
   fenwick_add(t.slot, -static_cast<std::int64_t>(t.bytes));
-  slot_key_[t.slot].clear();
   t.slot = 0;
 }
 
 void MrcProfiler::compact(std::size_t min_capacity) {
   // Reassign live slots 1..N in ascending order of their old positions —
   // relative recency is all the distance computation needs.
-  std::vector<std::pair<std::size_t, std::string>> live;
+  std::vector<std::pair<std::size_t, UrlHash>> live;
   live.reserve(keys_.size());
   for (const auto& [key, t] : keys_) live.emplace_back(t.slot, key);
   std::sort(live.begin(), live.end());
 
   const std::size_t capacity = std::max(min_capacity, std::max(kInitialSlots, live.size() * 2));
   tree_.assign(capacity + 1, 0);
-  slot_key_.assign(capacity + 1, std::string{});
   next_slot_ = 1;
   for (const auto& [old_slot, key] : live) {
     Tracked& t = keys_.at(key);
     t.slot = next_slot_++;
-    slot_key_[t.slot] = key;
     fenwick_add(t.slot, static_cast<std::int64_t>(t.bytes));
   }
 }
@@ -113,10 +98,10 @@ void MrcProfiler::enforce_s_max() {
   }
 }
 
-void MrcProfiler::record_access(const std::string& key, std::uint64_t size_bytes) {
+void MrcProfiler::record_access(UrlHash key, std::uint64_t size_bytes) {
   ++accesses_;
   if (threshold_ == 0) return;
-  const std::uint64_t hash_mod = hash_key(key) % kHashModulus;
+  const std::uint64_t hash_mod = key % kHashModulus;
   if (hash_mod >= threshold_) return;
   const double weight = static_cast<double>(kHashModulus) / static_cast<double>(threshold_);
   ++sampled_;
@@ -128,8 +113,7 @@ void MrcProfiler::record_access(const std::string& key, std::uint64_t size_bytes
     cold_weight_ += weight;
     Tracked t;
     t.bytes = size_bytes;
-    t.hash_mod = hash_mod;
-    t.slot = take_slot(key);
+    t.slot = take_slot();
     fenwick_add(t.slot, static_cast<std::int64_t>(t.bytes));
     keys_.emplace(key, t);
     by_hash_.emplace(hash_mod, key);
@@ -157,11 +141,11 @@ void MrcProfiler::record_access(const std::string& key, std::uint64_t size_bytes
   }
   // Move to the top of the stack.
   vacate(t);
-  t.slot = take_slot(key);
+  t.slot = take_slot();
   fenwick_add(t.slot, static_cast<std::int64_t>(t.bytes));
 }
 
-void MrcProfiler::update_size(const std::string& key, std::uint64_t size_bytes) {
+void MrcProfiler::update_size(UrlHash key, std::uint64_t size_bytes) {
   auto it = keys_.find(key);
   if (it == keys_.end()) return;
   Tracked& t = it->second;

@@ -12,15 +12,19 @@
 //
 //   * sample_rate < 1.0: a SHARDS-style spatially-hashed sampler
 //     (Waldspurger et al., FAST'15).  A key is sampled iff
-//     FNV-1a-64(key) mod 2^24 < threshold; sampling is a pure function of
-//     the key, so every access to a sampled key is seen and reuse
-//     distances within the sample are exact.  Each sampled access carries
+//     key mod 2^24 < threshold, where the key is FNV-1a-64 of the key's
+//     text (hash_key); sampling is a pure function of the key, so every
+//     access to a sampled key is seen and reuse distances within the
+//     sample are exact.  Each sampled access carries
 //     weight 1/rate and its raw distance is scaled by 1/rate — the curve
 //     is an unbiased estimate of the full-stream curve at ~rate of the
 //     bookkeeping.  The adaptive variant (s_max > 0) bounds tracked keys:
 //     when the working set exceeds s_max the max-hash keys are dropped and
 //     the threshold lowers to that hash, so future accesses sample at the
 //     reduced rate (weights use the rate in effect at access time).
+//
+// The cache analytics plane hands in hash_key of a cache key's 16-digit
+// hex text.
 //
 // Everything is deterministic: the hash is fixed, no RNG, no wall clock.
 // The profiler observes keys and sizes only — it deliberately knows nothing
@@ -31,7 +35,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/url_hash.hpp"
 
 namespace ape::obs {
 
@@ -62,14 +69,15 @@ class MrcProfiler {
  public:
   explicit MrcProfiler(MrcConfig config = {});
 
-  // Feed one lookup from the access stream.  `size_bytes` may be 0 when the
-  // caller does not yet know the object size (a miss before fetch);
-  // update_size() corrects the tracked footprint once the object lands.
-  void record_access(const std::string& key, std::uint64_t size_bytes);
+  // Feed one lookup from the access stream; `key` is hash_key(key text).
+  // `size_bytes` may be 0 when the caller does not yet know the object size
+  // (a miss before fetch); update_size() corrects the tracked footprint once
+  // the object lands.
+  void record_access(UrlHash key, std::uint64_t size_bytes);
 
   // Correct the byte footprint of a tracked key (no-op when the key is not
   // sampled or unseen).  Does not count as an access.
-  void update_size(const std::string& key, std::uint64_t size_bytes);
+  void update_size(UrlHash key, std::uint64_t size_bytes);
 
   // Cumulative curve over the non-empty buckets, monotone nonincreasing in
   // miss_ratio by construction.  Empty when nothing was sampled.
@@ -98,21 +106,23 @@ class MrcProfiler {
     return bucket_weights_;
   }
 
-  // FNV-1a 64-bit — the (fixed, documented) spatial hash.  Public so tests
-  // and sibling tools can reproduce sampling decisions.
-  [[nodiscard]] static std::uint64_t hash_key(const std::string& key) noexcept;
+  // FNV-1a 64-bit over a key's text — the (fixed, documented) spatial
+  // hash, and the profiler's key.  Public so tests and sibling tools can
+  // reproduce sampling decisions.
+  [[nodiscard]] static constexpr UrlHash hash_key(std::string_view key) noexcept {
+    return hash_url(key);
+  }
   static constexpr std::uint64_t kHashModulus = std::uint64_t{1} << 24;
 
  private:
   struct Tracked {
-    std::size_t slot = 0;        // Fenwick position; larger = more recent
-    std::uint64_t bytes = 0;     // current size charged to the slot
-    std::uint64_t hash_mod = 0;  // hash_key(key) % kHashModulus
+    std::size_t slot = 0;     // Fenwick position; larger = more recent
+    std::uint64_t bytes = 0;  // current size charged to the slot
   };
 
   void fenwick_add(std::size_t slot, std::int64_t delta);
   [[nodiscard]] std::uint64_t fenwick_prefix(std::size_t slot) const;
-  std::size_t take_slot(const std::string& key);
+  std::size_t take_slot();
   void vacate(Tracked& t);
   void compact(std::size_t min_capacity);
   void enforce_s_max();
@@ -121,17 +131,16 @@ class MrcProfiler {
   std::uint64_t threshold_;  // sample iff hash_mod < threshold_
 
   // Access-recency slots.  slot 1..capacity; tree_ is 1-based Fenwick over
-  // per-slot byte sizes; slot_key_[s] names the occupant ("" = vacant) so
-  // compaction can rebind keys without a reverse scan of keys_.
+  // per-slot byte sizes.
   std::vector<std::uint64_t> tree_;
-  std::vector<std::string> slot_key_;
   std::size_t next_slot_ = 1;
 
   // Tracked (sampled, live) keys.  Ordered map: deterministic iteration for
   // compaction and export paths.
-  std::map<std::string, Tracked> keys_;
-  // hash_mod -> key, ordered so adaptive eviction pops the max hash cheaply.
-  std::multimap<std::uint64_t, std::string> by_hash_;
+  std::map<UrlHash, Tracked> keys_;
+  // key mod 2^24 -> key, ordered so adaptive eviction pops the max hash
+  // cheaply.
+  std::multimap<std::uint64_t, UrlHash> by_hash_;
 
   std::vector<double> bucket_weights_;
   double cold_weight_ = 0.0;

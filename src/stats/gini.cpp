@@ -7,14 +7,17 @@
 namespace ape::stats {
 
 double gini(std::span<const double> values) {
-  const auto n = values.size();
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  return gini_of_sorted(sorted);
+}
+
+double gini_of_sorted(std::span<const double> sorted) {
+  const auto n = sorted.size();
   if (n == 0) return 0.0;
 
   // O(n log n) form: with x sorted ascending,
   //   sum_i sum_j |x_i - x_j| = 2 * sum_i (2i - n + 1) * x_i   (0-based i)
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-
   double total = 0.0;
   double weighted = 0.0;
   for (std::size_t i = 0; i < n; ++i) {

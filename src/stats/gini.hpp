@@ -14,4 +14,8 @@ namespace ape::stats {
 // "equal" allocations should never trip the fairness constraint).
 [[nodiscard]] double gini(std::span<const double> values);
 
+// The same over values already sorted ascending, without gini()'s sorted
+// copy (PACM sorts its own reused buffer on every fairness check).
+[[nodiscard]] double gini_of_sorted(std::span<const double> sorted);
+
 }  // namespace ape::stats

@@ -52,11 +52,11 @@ void FlashTier::append_object(ObjectMeta meta) {
   seg.total_bytes += meta.size_bytes;
   physical_bytes_ += meta.size_bytes;
   live_bytes_ += meta.size_bytes;
-  const std::string key = meta.key;
+  const UrlHash key = meta.key;
   entries_[key] = FlashLocation{active_, next_seq_++, std::move(meta)};
 }
 
-void FlashTier::mark_dead(const std::string& key) {
+void FlashTier::mark_dead(UrlHash key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   const std::size_t size = it->second.meta.size_bytes;
@@ -87,13 +87,13 @@ FlashTier::PutOutcome FlashTier::put(const cache::CacheEntry& entry, sim::Time n
   return PutOutcome::Stored;
 }
 
-const ObjectMeta* FlashTier::peek(const std::string& key, sim::Time now) const {
+const ObjectMeta* FlashTier::peek(UrlHash key, sim::Time now) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.meta.expired_at(now)) return nullptr;
   return &it->second.meta;
 }
 
-void FlashTier::fetch(const std::string& key, sim::Time now,
+void FlashTier::fetch(UrlHash key, sim::Time now,
                       std::function<void(std::optional<ObjectMeta>)> done) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -114,7 +114,7 @@ void FlashTier::fetch(const std::string& key, sim::Time now,
   });
 }
 
-bool FlashTier::invalidate(const std::string& key) {
+bool FlashTier::invalidate(UrlHash key) {
   if (entries_.find(key) == entries_.end()) return false;
   mark_dead(key);
   maybe_rewrite_journal();
@@ -122,12 +122,12 @@ bool FlashTier::invalidate(const std::string& key) {
 }
 
 std::size_t FlashTier::sweep_expired(sim::Time now) {
-  std::vector<std::string> dead_keys;
+  std::vector<UrlHash> dead_keys;
   for (const auto& [key, loc] : entries_) {
     if (loc.meta.expired_at(now)) dead_keys.push_back(key);
   }
   std::size_t reclaimed = 0;
-  for (const auto& key : dead_keys) {
+  for (const UrlHash key : dead_keys) {
     reclaimed += entries_.at(key).meta.size_bytes;
     mark_dead(key);
   }
@@ -174,7 +174,7 @@ bool FlashTier::make_room(std::size_t needed, sim::Time now) {
       seal_active();
       continue;
     }
-    if (const std::string* key = eviction_victim(); key != nullptr) {
+    if (const UrlHash* key = eviction_victim(); key != nullptr) {
       ++evictions_;
       mark_dead(*key);
       continue;
@@ -215,7 +215,7 @@ void FlashTier::compact_eager() {
 void FlashTier::compact(SegmentId victim) {
   assert(segments_.at(victim).sealed);
   // Live objects still in the victim, in original append order.
-  std::vector<std::pair<std::uint64_t, std::string>> movers;
+  std::vector<std::pair<std::uint64_t, UrlHash>> movers;
   for (const auto& [key, loc] : entries_) {
     if (loc.segment == victim) movers.emplace_back(loc.seq, key);
   }
@@ -238,8 +238,8 @@ void FlashTier::compact(SegmentId victim) {
   ++compactions_;
 }
 
-const std::string* FlashTier::eviction_victim() const {
-  const std::string* victim = nullptr;
+const UrlHash* FlashTier::eviction_victim() const {
+  const UrlHash* victim = nullptr;
   const FlashLocation* best = nullptr;
   for (const auto& [key, loc] : entries_) {
     if (best == nullptr || loc.meta.expires < best->meta.expires ||
@@ -340,7 +340,7 @@ void FlashTier::maybe_rewrite_journal() {
   // Checkpoint: the shortest record sequence reproducing live state.
   // Appends go in global seq order so a replay assigns the same relative
   // order — the eviction tie-break survives the checkpoint.
-  std::vector<std::pair<std::uint64_t, const std::string*>> order;
+  std::vector<std::pair<std::uint64_t, const UrlHash*>> order;
   order.reserve(entries_.size());
   for (const auto& [key, loc] : entries_) order.emplace_back(loc.seq, &key);
   std::sort(order.begin(), order.end());

@@ -87,16 +87,16 @@ class FlashTier {
   PutOutcome put(const cache::CacheEntry& entry, sim::Time now);
 
   // Valid (unexpired) metadata lookup; no device cost (index is in RAM).
-  [[nodiscard]] const ObjectMeta* peek(const std::string& key, sim::Time now) const;
+  [[nodiscard]] const ObjectMeta* peek(UrlHash key, sim::Time now) const;
 
   // Async object read: pays the device read for the body, then hands the
   // metadata to `done` (nullopt when the object vanished or expired in
   // the meantime).
-  void fetch(const std::string& key, sim::Time now,
+  void fetch(UrlHash key, sim::Time now,
              std::function<void(std::optional<ObjectMeta>)> done);
 
   // Marks the object dead (promotion to RAM, overwrite, explicit drop).
-  bool invalidate(const std::string& key);
+  bool invalidate(UrlHash key);
 
   // Drops every expired object; returns live bytes reclaimed.
   std::size_t sweep_expired(sim::Time now);
@@ -110,7 +110,7 @@ class FlashTier {
   [[nodiscard]] std::size_t physical_bytes() const noexcept { return physical_bytes_; }
   [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t segment_count() const noexcept { return segments_.size(); }
-  [[nodiscard]] const std::map<std::string, FlashLocation>& index() const noexcept {
+  [[nodiscard]] const std::map<UrlHash, FlashLocation>& index() const noexcept {
     return entries_;
   }
   [[nodiscard]] const std::map<SegmentId, Segment>& segments() const noexcept {
@@ -134,7 +134,7 @@ class FlashTier {
   Segment& active_segment();
   void seal_active();
   void append_object(ObjectMeta meta);
-  void mark_dead(const std::string& key);
+  void mark_dead(UrlHash key);
   // Compacts every sealed segment at or above compact_dead_ratio.
   void compact_eager();
   // Frees space until `needed` fits; false when impossible.
@@ -144,7 +144,7 @@ class FlashTier {
   [[nodiscard]] std::optional<SegmentId> dirtiest_sealed() const;
   void compact(SegmentId victim);
   // Soonest-to-expire live object (ties: lowest seq).
-  [[nodiscard]] const std::string* eviction_victim() const;
+  [[nodiscard]] const UrlHash* eviction_victim() const;
   void maybe_rewrite_journal();
 
   FlashDevice& device_;
@@ -154,7 +154,7 @@ class FlashTier {
   // Ordered containers throughout: eviction scans, compaction moves and
   // metric exports iterate these, and iteration order must be canonical
   // (ape-lint: unordered-iter).
-  std::map<std::string, FlashLocation> entries_;
+  std::map<UrlHash, FlashLocation> entries_;
   std::map<SegmentId, Segment> segments_;
   SegmentId active_ = 0;
   bool has_active_ = false;

@@ -40,7 +40,7 @@ using SegmentId = std::uint32_t;
 // demotion time.  Flash copies are immutable (segments are logs), so no
 // access-time bookkeeping — promotion back to RAM restarts history.
 struct ObjectMeta {
-  std::string key;
+  UrlHash key = 0;
   std::size_t size_bytes = 0;
   std::uint32_t app_id = 0;
   int priority = 1;
@@ -69,9 +69,11 @@ struct JournalRecord {
   SegmentId segment = 0;
   ObjectMeta meta;  // Append: full metadata; Invalidate: key only
 
-  // On-flash footprint estimate, charged to the device on append.
+  // On-flash footprint estimate, charged to the device on append.  An
+  // Append or Invalidate record names its object by the key's hex text.
   [[nodiscard]] std::size_t encoded_bytes() const noexcept {
-    return 32 + meta.key.size() + meta.etag.size();
+    const bool keyed = kind == Kind::Append || kind == Kind::Invalidate;
+    return 32 + (keyed ? kUrlHashTextBytes : 0) + meta.etag.size();
   }
 
   friend bool operator==(const JournalRecord&, const JournalRecord&) = default;

@@ -15,7 +15,7 @@ TieredStore::TieredStore(sim::Simulator& sim, cache::CacheStore& ram, FlashTier&
 }
 
 cache::CacheStore::InsertOutcome TieredStore::insert(cache::CacheEntry entry, sim::Time now) {
-  const std::string key = entry.key;
+  const UrlHash key = entry.key;
   const auto outcome = ram_.insert(std::move(entry), now);
   if (outcome == cache::CacheStore::InsertOutcome::Inserted) {
     // The fresh copy supersedes any flash-resident one.
@@ -24,13 +24,14 @@ cache::CacheStore::InsertOutcome TieredStore::insert(cache::CacheEntry entry, si
   return outcome;
 }
 
-void TieredStore::fetch_flash(const std::string& key, sim::Time now,
+void TieredStore::fetch_flash(UrlHash key, sim::Time now,
                               std::function<void(std::optional<cache::CacheEntry>)> done) {
   // Capture the ambient context synchronously — by the time the device read
   // completes the caller's push/pop scope is long gone.
   obs::TraceContext read_span;
   if (obs::SpanLog* log = spans(); log != nullptr) {
-    read_span = log->open(log->current_context(), "ap.flash.read", "store", key, now);
+    read_span =
+        log->open(log->current_context(), "ap.flash.read", "store", hash_to_string(key), now);
   }
   flash_.fetch(key, now, [this, read_span,
                           done = std::move(done)](std::optional<ObjectMeta> meta) mutable {

@@ -42,7 +42,7 @@ class TieredStore {
   cache::CacheStore::InsertOutcome insert(cache::CacheEntry entry, sim::Time now);
 
   // True when a valid copy lives on flash (index probe, no device cost).
-  [[nodiscard]] bool flash_contains(const std::string& key, sim::Time now) const {
+  [[nodiscard]] bool flash_contains(UrlHash key, sim::Time now) const {
     return flash_.peek(key, now) != nullptr;
   }
 
@@ -50,7 +50,7 @@ class TieredStore {
   // RAM, and hands the entry to `done` (nullopt: not on flash / expired).
   // The device read is recorded as an "ap.flash.read" span parented on the
   // ambient trace context captured at entry.
-  void fetch_flash(const std::string& key, sim::Time now,
+  void fetch_flash(UrlHash key, sim::Time now,
                    std::function<void(std::optional<cache::CacheEntry>)> done);
 
   // Nullable span sink for ap.flash.read spans.

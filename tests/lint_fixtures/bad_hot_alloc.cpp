@@ -1,8 +1,8 @@
-// Fixture: heap allocations, string streams and by-name metric lookups
-// inside a file annotated as hot-path must fire; placement new, allowlisted
-// lines, and handle-based metric use must not.  (A second, unannotated fixture is not
-// needed: every other fixture file lacks the marker, so the check staying
-// silent there is already covered.)
+// Fixture: heap allocations, string streams, by-name metric lookups and
+// cache-key renders inside a file annotated as hot-path must fire;
+// placement new, allowlisted lines, and handle-based metric use must not.
+// (A second, unannotated fixture is not needed: every other fixture file
+// lacks the marker, so the check staying silent there is already covered.)
 // ape-lint: hot-path
 #include <cstdint>
 #include <memory>
@@ -28,6 +28,9 @@ struct CounterHandle {
   void add() { resolved->add(); }
 };
 
+using UrlHash = std::uint64_t;
+std::string hash_to_string(UrlHash h);
+
 inline void per_event(HotRegistry& registry, CounterHandle& handle) {
   int* raw = new int(7);  // expect-lint: hot-alloc
   auto owned = std::make_unique<int>(9);  // expect-lint: hot-alloc
@@ -42,6 +45,11 @@ inline void per_event(HotRegistry& registry, CounterHandle& handle) {
   std::stringstream both;  // expect-lint: hot-alloc
   std::ostringstream report;  // ape-lint: allow(hot-alloc)
 
+  // A rendered key is a 16-character heap string: key by the hash itself.
+  const std::string key = hash_to_string(42);  // expect-lint: hot-alloc
+  const std::string qualified = fixture::hash_to_string(7);  // expect-lint: hot-alloc
+  const std::string span_key = hash_to_string(9);  // ape-lint: allow(hot-alloc)
+
   // Pre-resolved handles are the sanctioned pattern: no literal, no walk.
   handle.add();
 
@@ -52,7 +60,8 @@ inline void per_event(HotRegistry& registry, CounterHandle& handle) {
   // Cold-path escape hatch.
   int* excused = new int(13);  // ape-lint: allow(hot-alloc)
 
-  *raw += *owned + *shared + *placed + *excused;
+  *raw += *owned + *shared + *placed + *excused +
+          static_cast<int>(key.size() + qualified.size() + span_key.size());
   delete raw;
   delete excused;
 }

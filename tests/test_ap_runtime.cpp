@@ -2,7 +2,7 @@
 // delegation, block list, dummy-IP short-circuit, resource model.
 #include <gtest/gtest.h>
 
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "testbed/testbed.hpp"
 #include "workload/real_apps.hpp"
 
@@ -116,7 +116,7 @@ TEST_F(ApFixture, MalformedApeHeadersKeepDefaults) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out.value().ok());
   EXPECT_EQ(bed->ap().delegations_performed(), 1u);
-  const std::string key = hash_to_string(hash_url("http://api.two.example/alpha"));
+  const UrlHash key = hash_url("http://api.two.example/alpha");
   const cache::CacheEntry* entry = bed->ap().data_cache().lookup_any(key);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->app_id, 0u);

@@ -106,7 +106,7 @@ TEST_F(BaselineFixture, WiCacheStaleRegistryRecovers) {
   // the race by erasing and immediately fetching before the report lands.
   const auto entries = bed->wicache_agent()->store().entries();
   ASSERT_FALSE(entries.empty());
-  const std::string key = entries[0]->key;
+  const UrlHash key = entries[0]->key;
   ClientRuntime::FetchResult out;
   client->fetcher->fetch_object(app.requests[0].url,
                                 [&out](ClientRuntime::FetchResult r) { out = std::move(r); });

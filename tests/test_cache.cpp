@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cache/block_list.hpp"
 #include "cache/cache_stats.hpp"
 #include "cache/fifo_policy.hpp"
@@ -11,7 +15,12 @@
 namespace ape::cache {
 namespace {
 
-CacheEntry entry(const std::string& key, std::size_t size, double expires_s = 3600.0,
+// Keys are hashes; these stand in for "a" < "b" < "big" < "c" < "d" < "k1"
+// < "nope" and keep that order.
+constexpr UrlHash kA = 0xa0, kB = 0xb0, kBig = 0xb1, kC = 0xc0, kD = 0xd0, kK1 = 0xe1,
+                  kNope = 0xf0;
+
+CacheEntry entry(UrlHash key, std::size_t size, double expires_s = 3600.0,
                  int priority = 1, std::uint32_t app = 0) {
   CacheEntry e;
   e.key = key;
@@ -28,8 +37,8 @@ constexpr sim::Time kT0{};
 
 TEST(CacheStore, InsertAndGet) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  EXPECT_EQ(store.insert(entry("a", 100), kT0), CacheStore::InsertOutcome::Inserted);
-  const CacheEntry* got = store.get("a", kT0);
+  EXPECT_EQ(store.insert(entry(kA, 100), kT0), CacheStore::InsertOutcome::Inserted);
+  const CacheEntry* got = store.get(kA, kT0);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->size_bytes, 100u);
   EXPECT_EQ(store.used_bytes(), 100u);
@@ -37,54 +46,54 @@ TEST(CacheStore, InsertAndGet) {
 
 TEST(CacheStore, MissReturnsNull) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  EXPECT_EQ(store.get("nope", kT0), nullptr);
+  EXPECT_EQ(store.get(kNope, kT0), nullptr);
 }
 
 TEST(CacheStore, TooLargeRejected) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  EXPECT_EQ(store.insert(entry("big", 1001), kT0), CacheStore::InsertOutcome::TooLarge);
+  EXPECT_EQ(store.insert(entry(kBig, 1001), kT0), CacheStore::InsertOutcome::TooLarge);
   EXPECT_EQ(store.used_bytes(), 0u);
 }
 
 TEST(CacheStore, ReplaceSameKeyFreesOldBytes) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 400), kT0);
-  store.insert(entry("a", 100), kT0);
+  store.insert(entry(kA, 400), kT0);
+  store.insert(entry(kA, 100), kT0);
   EXPECT_EQ(store.used_bytes(), 100u);
   EXPECT_EQ(store.entry_count(), 1u);
 }
 
 TEST(CacheStore, ExpiredEntriesLazilyErasedOnGet) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100, /*expires_s=*/1.0), kT0);
-  EXPECT_NE(store.get("a", kT0), nullptr);
-  EXPECT_EQ(store.get("a", sim::Time{sim::seconds(2.0)}), nullptr);
+  store.insert(entry(kA, 100, /*expires_s=*/1.0), kT0);
+  EXPECT_NE(store.get(kA, kT0), nullptr);
+  EXPECT_EQ(store.get(kA, sim::Time{sim::seconds(2.0)}), nullptr);
   EXPECT_EQ(store.used_bytes(), 0u);
 }
 
 TEST(CacheStore, PeekDoesNotTouchRecency) {
   CacheStore store(250, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
   // Peek "a" (no recency bump), then force an eviction: "a" must be victim.
-  (void)store.peek("a", kT0);
-  store.insert(entry("c", 100), kT0);
-  EXPECT_EQ(store.get("a", kT0), nullptr);
-  EXPECT_NE(store.get("b", kT0), nullptr);
+  (void)store.peek(kA, kT0);
+  store.insert(entry(kC, 100), kT0);
+  EXPECT_EQ(store.get(kA, kT0), nullptr);
+  EXPECT_NE(store.get(kB, kT0), nullptr);
 }
 
 TEST(CacheStore, SweepExpiredReclaims) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100, 1.0), kT0);
-  store.insert(entry("b", 200, 100.0), kT0);
+  store.insert(entry(kA, 100, 1.0), kT0);
+  store.insert(entry(kB, 200, 100.0), kT0);
   EXPECT_EQ(store.sweep_expired(sim::Time{sim::seconds(2.0)}), 100u);
   EXPECT_EQ(store.entry_count(), 1u);
 }
 
 TEST(CacheStore, ClearEmptiesEverything) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
   store.clear();
   EXPECT_EQ(store.entry_count(), 0u);
   EXPECT_EQ(store.used_bytes(), 0u);
@@ -92,31 +101,51 @@ TEST(CacheStore, ClearEmptiesEverything) {
 
 TEST(CacheStore, RemovalListenerFires) {
   CacheStore store(250, std::make_unique<LruPolicy>());
-  std::vector<std::string> removed;
+  std::vector<UrlHash> removed;
   std::vector<RemovalCause> causes;
   store.add_removal_listener([&](const CacheEntry& e, RemovalCause cause) {
     removed.push_back(e.key);
     causes.push_back(cause);
   });
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
-  store.insert(entry("c", 100), kT0);  // evicts "a"
-  EXPECT_EQ(removed, std::vector<std::string>{"a"});
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
+  store.insert(entry(kC, 100), kT0);  // evicts "a"
+  EXPECT_EQ(removed, std::vector<UrlHash>{kA});
   EXPECT_EQ(causes.back(), RemovalCause::Evicted);
-  store.erase("b");
-  EXPECT_EQ(removed.back(), "b");
+  store.erase(kB);
+  EXPECT_EQ(removed.back(), kB);
   EXPECT_EQ(causes.back(), RemovalCause::Erased);
-  store.insert(entry("c", 120), kT0);  // same-key replacement
-  EXPECT_EQ(removed.back(), "c");
+  store.insert(entry(kC, 120), kT0);  // same-key replacement
+  EXPECT_EQ(removed.back(), kC);
   EXPECT_EQ(causes.back(), RemovalCause::Replaced);
 }
 
 TEST(CacheStore, AccessCountIncrements) {
   CacheStore store(1000, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 10), kT0);
-  ASSERT_NE(store.get("a", kT0), nullptr);
-  ASSERT_NE(store.get("a", kT0), nullptr);
-  EXPECT_EQ(store.lookup_any("a")->access_count, 2u);
+  store.insert(entry(kA, 10), kT0);
+  ASSERT_NE(store.get(kA, kT0), nullptr);
+  ASSERT_NE(store.get(kA, kT0), nullptr);
+  EXPECT_EQ(store.lookup_any(kA)->access_count, 2u);
+}
+
+// The store walks keys in numeric order, which for fixed-width lowercase hex
+// is the order of their rendered text: PACM's candidate order, the greedy's
+// ties and every ordered export rely on that.
+TEST(CacheStore, IterationFollowsRenderedHexOrder) {
+  CacheStore store(1'000'000, std::make_unique<LruPolicy>());
+  const std::vector<UrlHash> keys = {
+      0xf000000000000000, 0x0fffffffffffffff, 0xa, 0x9, 0x100, 0xff, 0x0,
+      0xffffffffffffffff, 0x8000000000000000, 0x7fffffffffffffff, 0xabcdef0123456789};
+  for (const UrlHash key : keys) store.insert(entry(key, 10), kT0);
+
+  std::vector<std::string> walked;
+  store.for_each([&](const CacheEntry& e) { walked.push_back(hash_to_string(e.key)); });
+  ASSERT_EQ(walked.size(), keys.size());
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+  std::vector<std::string> rendered;
+  for (const UrlHash key : keys) rendered.push_back(hash_to_string(key));
+  std::sort(rendered.begin(), rendered.end());
+  EXPECT_EQ(walked, rendered);
 }
 
 // Property: under random workloads, used_bytes stays consistent and never
@@ -142,7 +171,7 @@ TEST_P(PolicyPropertyTest, CapacityInvariantUnderRandomOps) {
   for (int op = 0; op < 2000; ++op) {
     const sim::Time now{sim::seconds(static_cast<double>(op))};
     const auto roll = rng.uniform_int(0, 9);
-    const std::string key = "k" + std::to_string(rng.uniform_int(0, 40));
+    const auto key = static_cast<UrlHash>(rng.uniform_int(0, 40));
     if (roll < 5) {
       const auto size = static_cast<std::size_t>(rng.uniform_int(50, 3000));
       store.insert(entry(key, size, static_cast<double>(op) + rng.uniform_real(1.0, 500.0)),
@@ -172,51 +201,51 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LruPolicy, EvictsLeastRecentlyUsed) {
   CacheStore store(300, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
-  store.insert(entry("c", 100), kT0);
-  ASSERT_NE(store.get("a", kT0), nullptr);  // freshen "a"; "b" becomes LRU
-  store.insert(entry("d", 100), kT0);
-  EXPECT_NE(store.get("a", kT0), nullptr);
-  EXPECT_EQ(store.get("b", kT0), nullptr);
-  EXPECT_NE(store.get("c", kT0), nullptr);
-  EXPECT_NE(store.get("d", kT0), nullptr);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
+  store.insert(entry(kC, 100), kT0);
+  ASSERT_NE(store.get(kA, kT0), nullptr);  // freshen "a"; "b" becomes LRU
+  store.insert(entry(kD, 100), kT0);
+  EXPECT_NE(store.get(kA, kT0), nullptr);
+  EXPECT_EQ(store.get(kB, kT0), nullptr);
+  EXPECT_NE(store.get(kC, kT0), nullptr);
+  EXPECT_NE(store.get(kD, kT0), nullptr);
 }
 
 TEST(LruPolicy, EvictsMultipleToFit) {
   CacheStore store(300, std::make_unique<LruPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
-  store.insert(entry("c", 100), kT0);
-  store.insert(entry("big", 250), kT0);  // needs "a" and "b" gone
-  EXPECT_EQ(store.get("a", kT0), nullptr);
-  EXPECT_EQ(store.get("b", kT0), nullptr);
-  EXPECT_NE(store.get("big", kT0), nullptr);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
+  store.insert(entry(kC, 100), kT0);
+  store.insert(entry(kBig, 250), kT0);  // needs "a" and "b" gone
+  EXPECT_EQ(store.get(kA, kT0), nullptr);
+  EXPECT_EQ(store.get(kB, kT0), nullptr);
+  EXPECT_NE(store.get(kBig, kT0), nullptr);
   EXPECT_LE(store.used_bytes(), 300u);
 }
 
 TEST(FifoPolicy, EvictsOldestInsertion) {
   CacheStore store(300, std::make_unique<FifoPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
-  store.insert(entry("c", 100), kT0);
-  ASSERT_NE(store.get("a", kT0), nullptr);  // FIFO ignores access recency
-  store.insert(entry("d", 100), kT0);
-  EXPECT_EQ(store.get("a", kT0), nullptr);
-  EXPECT_NE(store.get("b", kT0), nullptr);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
+  store.insert(entry(kC, 100), kT0);
+  ASSERT_NE(store.get(kA, kT0), nullptr);  // FIFO ignores access recency
+  store.insert(entry(kD, 100), kT0);
+  EXPECT_EQ(store.get(kA, kT0), nullptr);
+  EXPECT_NE(store.get(kB, kT0), nullptr);
 }
 
 TEST(LfuPolicy, EvictsLeastFrequentlyUsed) {
   CacheStore store(300, std::make_unique<LfuPolicy>());
-  store.insert(entry("a", 100), kT0);
-  store.insert(entry("b", 100), kT0);
-  store.insert(entry("c", 100), kT0);
-  ASSERT_NE(store.get("a", kT0), nullptr);
-  ASSERT_NE(store.get("a", kT0), nullptr);
-  ASSERT_NE(store.get("c", kT0), nullptr);
-  store.insert(entry("d", 100), kT0);  // "b" has lowest frequency
-  EXPECT_EQ(store.get("b", kT0), nullptr);
-  EXPECT_NE(store.get("a", kT0), nullptr);
+  store.insert(entry(kA, 100), kT0);
+  store.insert(entry(kB, 100), kT0);
+  store.insert(entry(kC, 100), kT0);
+  ASSERT_NE(store.get(kA, kT0), nullptr);
+  ASSERT_NE(store.get(kA, kT0), nullptr);
+  ASSERT_NE(store.get(kC, kT0), nullptr);
+  store.insert(entry(kD, 100), kT0);  // "b" has lowest frequency
+  EXPECT_EQ(store.get(kB, kT0), nullptr);
+  EXPECT_NE(store.get(kA, kT0), nullptr);
 }
 
 TEST(PolicyNames, AreDistinct) {
@@ -236,17 +265,17 @@ TEST(BlockList, ThresholdMatchesPaper) {
 
 TEST(BlockList, BlockAndUnblock) {
   BlockList bl(100);
-  bl.block("k1");
-  EXPECT_TRUE(bl.contains("k1"));
+  bl.block(kK1);
+  EXPECT_TRUE(bl.contains(kK1));
   EXPECT_EQ(bl.size(), 1u);
-  bl.unblock("k1");
-  EXPECT_FALSE(bl.contains("k1"));
+  bl.unblock(kK1);
+  EXPECT_FALSE(bl.contains(kK1));
 }
 
 TEST(BlockList, ClearEmpties) {
   BlockList bl(100);
-  bl.block("a");
-  bl.block("b");
+  bl.block(kA);
+  bl.block(kB);
   bl.clear();
   EXPECT_EQ(bl.size(), 0u);
 }

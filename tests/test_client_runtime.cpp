@@ -2,7 +2,7 @@
 // standalone vs piggybacked lookup, and fallback on stale flags.
 #include <gtest/gtest.h>
 
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "testbed/testbed.hpp"
 
 namespace ape::core {
@@ -148,7 +148,7 @@ TEST_F(ClientFixture, StaleCacheHitFlagFallsBackToEdge) {
   EXPECT_FALSE(hit.lookup_from_cache);
 
   // Evict behind the client's back; its cached Cache-Hit flag is now stale.
-  bed->ap().data_cache().erase(hash_to_string(hash_url("http://api.pair.example/one")));
+  bed->ap().data_cache().erase(hash_url("http://api.pair.example/one"));
 
   const auto result = fetch("http://api.pair.example/one");
   ASSERT_TRUE(result.success);

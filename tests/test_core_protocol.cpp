@@ -5,7 +5,7 @@
 #include "core/dns_cache_record.hpp"
 #include "core/frequency_tracker.hpp"
 #include "core/programming_model.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "dns/codec.hpp"
 
 namespace ape::core {

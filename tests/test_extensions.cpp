@@ -4,7 +4,7 @@
 
 #include "cache/gdsf_policy.hpp"
 #include "core/pacm.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "testbed/experiment.hpp"
 #include "workload/real_apps.hpp"
 #include "workload/app_generator.hpp"
@@ -15,7 +15,7 @@ namespace {
 using cache::CacheEntry;
 using cache::CacheStore;
 
-CacheEntry sized_entry(const std::string& key, std::size_t size, double latency_ms,
+CacheEntry sized_entry(UrlHash key, std::size_t size, double latency_ms,
                        double expires_s = 3600.0) {
   CacheEntry e;
   e.key = key;
@@ -30,24 +30,26 @@ CacheEntry sized_entry(const std::string& key, std::size_t size, double latency_
 TEST(GdsfPolicy, PrefersCheapLargeVictims) {
   CacheStore store(300'000, std::make_unique<cache::GdsfPolicy>());
   const sim::Time t0{};
+  constexpr UrlHash kIncoming = 1, kLargeCheap = 2, kSmallDear = 3;  // in name order
   // Large + cheap-to-refetch: low H.  Small + expensive: high H.
-  store.insert(sized_entry("large-cheap", 200'000, 5.0), t0);
-  store.insert(sized_entry("small-dear", 50'000, 50.0), t0);
-  store.insert(sized_entry("incoming", 100'000, 30.0), t0);
-  EXPECT_EQ(store.lookup_any("large-cheap"), nullptr);
-  EXPECT_NE(store.lookup_any("small-dear"), nullptr);
-  EXPECT_NE(store.lookup_any("incoming"), nullptr);
+  store.insert(sized_entry(kLargeCheap, 200'000, 5.0), t0);
+  store.insert(sized_entry(kSmallDear, 50'000, 50.0), t0);
+  store.insert(sized_entry(kIncoming, 100'000, 30.0), t0);
+  EXPECT_EQ(store.lookup_any(kLargeCheap), nullptr);
+  EXPECT_NE(store.lookup_any(kSmallDear), nullptr);
+  EXPECT_NE(store.lookup_any(kIncoming), nullptr);
 }
 
 TEST(GdsfPolicy, FrequencyRaisesValue) {
   CacheStore store(250'000, std::make_unique<cache::GdsfPolicy>());
   const sim::Time t0{};
-  store.insert(sized_entry("hot", 100'000, 10.0), t0);
-  store.insert(sized_entry("cold", 100'000, 10.0), t0);
-  for (int i = 0; i < 10; ++i) (void)store.get("hot", t0);
-  store.insert(sized_entry("newcomer", 100'000, 10.0), t0);
-  EXPECT_NE(store.lookup_any("hot"), nullptr);
-  EXPECT_EQ(store.lookup_any("cold"), nullptr);
+  constexpr UrlHash kCold = 1, kHot = 2, kNewcomer = 3;  // in name order
+  store.insert(sized_entry(kHot, 100'000, 10.0), t0);
+  store.insert(sized_entry(kCold, 100'000, 10.0), t0);
+  for (int i = 0; i < 10; ++i) (void)store.get(kHot, t0);
+  store.insert(sized_entry(kNewcomer, 100'000, 10.0), t0);
+  EXPECT_NE(store.lookup_any(kHot), nullptr);
+  EXPECT_EQ(store.lookup_any(kCold), nullptr);
 }
 
 TEST(GdsfPolicy, InflationMonotone) {
@@ -56,7 +58,7 @@ TEST(GdsfPolicy, InflationMonotone) {
   const sim::Time t0{};
   double last = 0.0;
   for (int i = 0; i < 10; ++i) {
-    store.insert(sized_entry("k" + std::to_string(i), 60'000, 10.0), t0);
+    store.insert(sized_entry(static_cast<UrlHash>(i), 60'000, 10.0), t0);
     const auto& p = static_cast<const cache::GdsfPolicy&>(store.policy());
     EXPECT_GE(p.inflation(), last);
     last = p.inflation();
@@ -80,13 +82,14 @@ TEST(PacmAblation, NoPriorityIgnoresPriorities) {
   // must treat them the same, so the tie is broken elsewhere — both
   // orderings are acceptable, but flipping priorities must not change the
   // outcome.
+  constexpr UrlHash kX = 1, kY = 2;
   std::vector<core::PacmObject> a{
-      {"x", 1, 5'000, 1, 300.0, 30.0},
-      {"y", 2, 5'000, 2, 300.0, 30.0},
+      {kX, 1, 5'000, 1, 300.0, 30.0},
+      {kY, 2, 5'000, 2, 300.0, 30.0},
   };
   std::vector<core::PacmObject> b{
-      {"x", 1, 5'000, 2, 300.0, 30.0},
-      {"y", 2, 5'000, 1, 300.0, 30.0},
+      {kX, 1, 5'000, 2, 300.0, 30.0},
+      {kY, 2, 5'000, 1, 300.0, 30.0},
   };
   const auto da = solver.select_evictions(a, 5'000, {{1, 1.0}, {2, 1.0}});
   const auto db = solver.select_evictions(b, 5'000, {{1, 1.0}, {2, 1.0}});
@@ -99,13 +102,14 @@ TEST(PacmAblation, WithPriorityFlippingChangesOutcome) {
   core::ApeConfig config;
   config.cache_capacity_bytes = 10'000;
   core::PacmSolver solver(config);
+  constexpr UrlHash kX = 1, kY = 2;
   std::vector<core::PacmObject> a{
-      {"x", 1, 5'000, 1, 300.0, 30.0},
-      {"y", 2, 5'000, 2, 300.0, 30.0},
+      {kX, 1, 5'000, 1, 300.0, 30.0},
+      {kY, 2, 5'000, 2, 300.0, 30.0},
   };
   const auto decision = solver.select_evictions(a, 5'000, {{1, 1.0}, {2, 1.0}});
   ASSERT_EQ(decision.evict.size(), 1u);
-  EXPECT_EQ(decision.evict[0], "x");  // the low-priority object goes
+  EXPECT_EQ(decision.evict[0], kX);  // the low-priority object goes
 }
 
 TEST(PacmAblation, NoFairnessSkipsRepair) {
@@ -117,9 +121,9 @@ TEST(PacmAblation, NoFairnessSkipsRepair) {
 
   std::vector<core::PacmObject> cached;
   for (int i = 0; i < 4; ++i) {
-    cached.push_back({"big" + std::to_string(i), 1, 25'000, 2, 1000.0, 50.0});
+    cached.push_back({static_cast<UrlHash>(1 + i), 1, 25'000, 2, 1000.0, 50.0});  // "big<i>"
   }
-  cached.push_back({"small", 2, 2'000, 1, 100.0, 10.0});
+  cached.push_back({5, 2, 2'000, 1, 100.0, 10.0});  // "small"
   const auto decision = solver.select_evictions(cached, 10'000, {{1, 3.0}, {2, 3.0}});
   EXPECT_EQ(decision.repair_rounds, 0);
 }
@@ -130,9 +134,9 @@ TEST(PacmAblation, ForceGreedyReportsInexact) {
   config.pacm_force_greedy = true;
   core::PacmSolver solver(config);
   std::vector<core::PacmObject> cached{
-      {"a", 1, 20'000, 1, 100.0, 30.0},
-      {"b", 2, 20'000, 1, 100.0, 30.0},
-      {"c", 3, 20'000, 1, 100.0, 30.0},
+      {1, 1, 20'000, 1, 100.0, 30.0},
+      {2, 2, 20'000, 1, 100.0, 30.0},
+      {3, 3, 20'000, 1, 100.0, 30.0},
   };
   const auto decision = solver.select_evictions(cached, 20'000, {});
   EXPECT_FALSE(decision.exact);

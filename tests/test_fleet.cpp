@@ -9,7 +9,7 @@
 #include <set>
 #include <string>
 
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "fleet/fleet_testbed.hpp"
 #include "obs/export.hpp"
 #include "testbed/testbed.hpp"
@@ -40,8 +40,8 @@ workload::AppSpec two_object_app() {
 
 // The directory keys cache membership by hashed base URL (the store's own
 // key space), not by raw URL.
-std::string cache_key(const std::string& base_url) {
-  return core::hash_to_string(core::hash_url(base_url));
+UrlHash cache_key(const std::string& base_url) {
+  return hash_url(base_url);
 }
 
 FleetTestbed::Client& add_registered_client(FleetTestbed& bed, const workload::AppSpec& app,
@@ -137,7 +137,35 @@ TEST(FleetWiring, BuildsApsShardsAndDirectoryAttachments) {
   }
   EXPECT_LT(shard_of(cache_key("http://api.fleetsample.com/obj0"), 2), 2u);
   // Placement is a pure function of the key.
-  EXPECT_EQ(shard_of("k", 4), shard_of("k", 4));
+  EXPECT_EQ(shard_of(1, 4), shard_of(1, 4));
+}
+
+// Keys of objects bench_smoke caches, pinned with the shard that FNV-1a of
+// their hex text picks: shard_of hashes the rendered text, so a typed key
+// lands where its text would.
+TEST(FleetDirectory, ShardOfTypedKeysMatchesStringKeyedPlacement) {
+  struct Pinned {
+    const char* url;
+    const char* text;
+    std::size_t of4;
+    std::size_t of3;
+  };
+  const Pinned pinned[] = {
+      {"http://api.movietrailer.app/getCast", "76dbe6b07c054417", 2, 0},
+      {"http://app100.example.com/detail0", "02c5c8586c10a0e2", 1, 1},
+      {"http://app101.example.com/detail1", "7948de317aa7a44e", 0, 1},
+      {"http://app101.example.com/id", "15baf09bb2605c77", 3, 0},
+      {"http://app102.example.com/id", "98a50ca6e2fbefcc", 2, 0},
+      {"http://app104.example.com/detail2", "3d4e853614f8fab8", 3, 2},
+      {"http://app105.example.com/detail1", "39d626ca9295c98a", 1, 1},
+      {"http://app106.example.com/detail1", "d7a19fd11c111997", 2, 0},
+  };
+  for (const Pinned& p : pinned) {
+    const UrlHash key = cache_key(p.url);
+    EXPECT_EQ(hash_to_string(key), p.text) << p.url;
+    EXPECT_EQ(shard_of(key, 4), p.of4) << p.url;
+    EXPECT_EQ(shard_of(key, 3), p.of3) << p.url;
+  }
 }
 
 // -------------------------------------------------------------- peer probe

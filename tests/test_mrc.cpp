@@ -82,7 +82,7 @@ TEST(MrcProfiler, OracleMatchesBruteForceByteLru) {
   for (int i = 0; i < 4000; ++i) {
     const auto rank = static_cast<std::size_t>(rng.uniform_int(0, 120));
     const std::string key = "obj-" + std::to_string(rank);
-    oracle.record_access(key, synthetic_size(rank));
+    oracle.record_access(MrcProfiler::hash_key(key), synthetic_size(rank));
     reference.access(key, synthetic_size(rank));
   }
   for (const std::uint64_t capacity : {8u * 1024u, 64u * 1024u, 256u * 1024u, 1024u * 1024u}) {
@@ -134,7 +134,7 @@ TEST(MrcProfiler, CurvesAreMonotoneOnRandomizedTraces) {
         const std::size_t rank = exponent > 0.0
                                      ? zipf.sample(rng)
                                      : static_cast<std::size_t>(rng.uniform_int(0, 499));
-        const std::string key = "k" + std::to_string(rank);
+        const UrlHash key = MrcProfiler::hash_key("k" + std::to_string(rank));
         oracle.record_access(key, synthetic_size(rank));
         sampled.record_access(key, synthetic_size(rank));
         adaptive.record_access(key, synthetic_size(rank));
@@ -157,7 +157,7 @@ TEST(MrcProfiler, SamplerAtRateOneMatchesOracleExactly) {
   sim::Rng rng(11);
   for (int i = 0; i < 5000; ++i) {
     const auto rank = static_cast<std::size_t>(rng.uniform_int(0, 300));
-    const std::string key = "obj-" + std::to_string(rank);
+    const UrlHash key = MrcProfiler::hash_key("obj-" + std::to_string(rank));
     oracle.record_access(key, synthetic_size(rank));
     full.record_access(key, synthetic_size(rank));
   }
@@ -185,7 +185,7 @@ TEST(MrcProfiler, FixedRateSamplerWithinBoundOnUniformTrace) {
   sim::Rng rng(13);
   for (int i = 0; i < 120000; ++i) {
     const auto rank = static_cast<std::size_t>(rng.uniform_int(0, 19999));
-    const std::string key = "uni-" + std::to_string(rank);
+    const UrlHash key = MrcProfiler::hash_key("uni-" + std::to_string(rank));
     oracle.record_access(key, synthetic_size(rank));
     sampled.record_access(key, synthetic_size(rank));
   }
@@ -207,7 +207,7 @@ TEST(MrcProfiler, AdaptiveSMaxCapsTrackedKeysAndLowersRate) {
   MrcProfiler adaptive(config);
 
   for (int i = 0; i < 10000; ++i) {
-    adaptive.record_access("key-" + std::to_string(i % 5000), 2048);
+    adaptive.record_access(MrcProfiler::hash_key("key-" + std::to_string(i % 5000)), 2048);
   }
   EXPECT_LE(adaptive.tracked(), config.s_max);
   EXPECT_LT(adaptive.current_rate(), 1.0);
@@ -222,10 +222,10 @@ TEST(MrcProfiler, UpdateSizeMatchesExactlySizedStream) {
   MrcProfiler corrected;
 
   sim::Rng rng(17);
-  std::map<std::string, bool> seen;
+  std::map<UrlHash, bool> seen;
   for (int i = 0; i < 3000; ++i) {
     const auto rank = static_cast<std::size_t>(rng.uniform_int(0, 150));
-    const std::string key = "obj-" + std::to_string(rank);
+    const UrlHash key = MrcProfiler::hash_key("obj-" + std::to_string(rank));
     const std::uint64_t bytes = synthetic_size(rank);
     exact.record_access(key, bytes);
     if (seen[key]) {
@@ -245,6 +245,26 @@ TEST(MrcProfiler, UpdateSizeMatchesExactlySizedStream) {
   }
 }
 
+// Keys of objects bench_smoke caches, pinned with FNV-1a of their hex
+// text: the SHARDS hash the analytics plane takes of a cache key, which
+// decides the committed MRC baselines' sample.
+TEST(MrcProfiler, HashKeyOfRenderedKeysMatchesStringKeyedSampling) {
+  struct Pinned {
+    UrlHash key;
+    UrlHash text_hash;
+  };
+  const Pinned pinned[] = {
+      {0x76dbe6b07c054417, 0x4b8e828da5f3518e}, {0x02c5c8586c10a0e2, 0x2cf5b59857deb001},
+      {0x7948de317aa7a44e, 0xd261ae5189cb41cc}, {0x15baf09bb2605c77, 0x4ddbe762756fea5f},
+      {0x98a50ca6e2fbefcc, 0xf1bae9512a9ea732}, {0x3d4e853614f8fab8, 0x47788d6a506b02fb},
+      {0x39d626ca9295c98a, 0xfaf27f4edda6ac59}, {0xd7a19fd11c111997, 0xb070c75e4a30897e},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(MrcProfiler::hash_key(hash_to_string(p.key)), p.text_hash) << p.key;
+    EXPECT_EQ(MrcProfiler::hash_key(render_url_hash(p.key).view()), p.text_hash) << p.key;
+  }
+}
+
 // ------------------------------------------------------- CacheAnalytics
 
 TEST(CacheAnalytics, LedgerCountsPerCauseAndDeadOnArrival) {
@@ -255,10 +275,10 @@ TEST(CacheAnalytics, LedgerCountsPerCauseAndDeadOnArrival) {
 
   // Two capacity evictions (one never re-accessed = DOA), one expiry, one
   // replacement.
-  plane.on_removal("a", 1000, "100", RemovalCause::Evicted, 0, t0, t0, t1);
-  plane.on_removal("b", 2000, "100", RemovalCause::Evicted, 3, t0, t1, t2);
-  plane.on_removal("c", 3000, "101", RemovalCause::Expired, 1, t0, t1, t2);
-  plane.on_removal("d", 4000, "101", RemovalCause::Replaced, 2, t1, t1, t2);
+  plane.on_removal(1, 1000, "100", RemovalCause::Evicted, 0, t0, t0, t1);
+  plane.on_removal(2, 2000, "100", RemovalCause::Evicted, 3, t0, t1, t2);
+  plane.on_removal(3, 3000, "101", RemovalCause::Expired, 1, t0, t1, t2);
+  plane.on_removal(4, 4000, "101", RemovalCause::Replaced, 2, t1, t1, t2);
 
   EXPECT_EQ(plane.removals(RemovalCause::Evicted), 2u);
   EXPECT_EQ(plane.removals(RemovalCause::Expired), 1u);
@@ -273,9 +293,9 @@ TEST(CacheAnalytics, LedgerCountsPerCauseAndDeadOnArrival) {
 
 TEST(CacheAnalytics, ReconcileDetectsBrokenPartition) {
   CacheAnalytics plane;
-  plane.on_lookup("k1", 100, "100", LookupOutcome::Hit);
-  plane.on_lookup("k2", 100, "100", LookupOutcome::Miss);
-  plane.on_lookup("k3", 100, "101", LookupOutcome::Delegation);
+  plane.on_lookup(1, 100, "100", LookupOutcome::Hit);
+  plane.on_lookup(2, 100, "100", LookupOutcome::Miss);
+  plane.on_lookup(3, 100, "101", LookupOutcome::Delegation);
 
   EXPECT_TRUE(plane.reconcile(1, 1, 1).empty());
   // Any mismatch against the CacheStatistics totals must surface.
@@ -295,6 +315,8 @@ TEST(CacheAnalytics, RemovalListenerMayInsertDuringEviction) {
   // the byte accounting must stay exact.
   cache::CacheStore store(10 * 1000, std::make_unique<cache::LruPolicy>());
   const sim::Time now{};
+  // "a" < "b" < "c" < "side-a": the side copy of a key sorts after all three.
+  constexpr UrlHash kA = 1, kB = 2, kC = 3, kSide = 0x100;
 
   int reentries = 0;
   store.add_removal_listener(
@@ -302,29 +324,29 @@ TEST(CacheAnalytics, RemovalListenerMayInsertDuringEviction) {
         if (cause != RemovalCause::Evicted || reentries >= 1) return;
         ++reentries;
         cache::CacheEntry side;
-        side.key = "side-" + entry.key;
+        side.key = entry.key + kSide;
         side.size_bytes = 500;  // fits in the bytes the eviction frees
         side.expires = sim::Time{sim::seconds(3600.0)};
         ASSERT_EQ(store.insert(side, now), cache::CacheStore::InsertOutcome::Inserted);
       });
 
-  auto make = [](const std::string& key, std::size_t bytes) {
+  auto make = [](UrlHash key, std::size_t bytes) {
     cache::CacheEntry e;
     e.key = key;
     e.size_bytes = bytes;
     e.expires = sim::Time{sim::seconds(3600.0)};
     return e;
   };
-  ASSERT_EQ(store.insert(make("a", 4000), now), cache::CacheStore::InsertOutcome::Inserted);
-  ASSERT_EQ(store.insert(make("b", 4000), now), cache::CacheStore::InsertOutcome::Inserted);
+  ASSERT_EQ(store.insert(make(kA, 4000), now), cache::CacheStore::InsertOutcome::Inserted);
+  ASSERT_EQ(store.insert(make(kB, 4000), now), cache::CacheStore::InsertOutcome::Inserted);
   // 8000/10000 used; this forces an LRU eviction of "a", whose removal
   // callback inserts "side-a" while "a" is mid-erase.
-  ASSERT_EQ(store.insert(make("c", 4000), now), cache::CacheStore::InsertOutcome::Inserted);
+  ASSERT_EQ(store.insert(make(kC, 4000), now), cache::CacheStore::InsertOutcome::Inserted);
 
   EXPECT_EQ(reentries, 1);
-  EXPECT_EQ(store.get("a", now), nullptr);
-  EXPECT_NE(store.get("side-a", now), nullptr);
-  EXPECT_NE(store.get("c", now), nullptr);
+  EXPECT_EQ(store.get(kA, now), nullptr);
+  EXPECT_NE(store.get(kA + kSide, now), nullptr);
+  EXPECT_NE(store.get(kC, now), nullptr);
   // Byte accounting survived the reentrant insert.
   std::size_t bytes = 0;
   store.for_each([&bytes](const cache::CacheEntry& e) { bytes += e.size_bytes; });
@@ -343,9 +365,9 @@ TEST(CacheAnalytics, ExportEmitsMrcSectionWithRollup) {
   CacheAnalytics a(config);
   CacheAnalytics b(config);
   for (int i = 0; i < 200; ++i) {
-    a.on_lookup("k" + std::to_string(i % 20), 1000, "100",
+    a.on_lookup(static_cast<UrlHash>(i % 20), 1000, "100",
                 i % 3 == 0 ? LookupOutcome::Hit : LookupOutcome::Miss);
-    b.on_lookup("k" + std::to_string(i % 30), 1000, "101", LookupOutcome::Hit);
+    b.on_lookup(static_cast<UrlHash>(i % 30), 1000, "101", LookupOutcome::Hit);
   }
 
   std::vector<AnalyticsExportEntry> entries;

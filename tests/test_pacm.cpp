@@ -227,12 +227,37 @@ TEST_P(KnapsackOracleProperty, WindowedDpMatchesFullTable) {
   }
 }
 
+// PACM reuses one workspace across solves, so each solve finds the last
+// one's rows, dp and taken cells in it.  Over a mixed sequence of
+// instances, exact and greedy solves on one workspace must give what
+// one-shot solves on fresh workspaces give (which the test above holds to
+// the oracle).
+TEST_P(KnapsackOracleProperty, ReusedWorkspaceMatchesFreshSolves) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  KnapsackWorkspace workspace;
+  for (int k = 0; k < 100; ++k) {
+    const KnapsackInstance in = draw_instance(k % 8, rng);
+    const auto want = solve_knapsack(in.items, in.capacity);
+    const KnapsackResult& got = solve_knapsack(in.items, in.capacity, 40'000'000, workspace);
+    EXPECT_TRUE(got.exact) << "instance " << k;
+    EXPECT_EQ(got.selected, want.selected) << "instance " << k;
+    EXPECT_EQ(got.total_weight, want.total_weight) << "instance " << k;
+    EXPECT_EQ(got.total_value, want.total_value) << "instance " << k;
+
+    const auto fresh = solve_knapsack(in.items, in.capacity, /*dp_budget=*/1);
+    const KnapsackResult& greedy = solve_knapsack(in.items, in.capacity, 1, workspace);
+    EXPECT_EQ(greedy.selected, fresh.selected) << "instance " << k;
+    EXPECT_EQ(greedy.total_weight, fresh.total_weight) << "instance " << k;
+    EXPECT_EQ(greedy.total_value, fresh.total_value) << "instance " << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackOracleProperty, ::testing::Range(1, 21));
 
 // ----------------------------------------------------------- PacmSolver
 
-PacmObject object(const std::string& key, AppId app, std::size_t size, int priority,
-                  double ttl_s, double latency_ms) {
+PacmObject object(UrlHash key, AppId app, std::size_t size, int priority, double ttl_s,
+                  double latency_ms) {
   PacmObject o;
   o.key = key;
   o.app = app;
@@ -244,13 +269,13 @@ PacmObject object(const std::string& key, AppId app, std::size_t size, int prior
 }
 
 TEST(PacmSolver, UtilityIsPaperFormula) {
-  const auto o = object("k", 1, 1000, 2, 600.0, 30.0);
+  const auto o = object(1, 1, 1000, 2, 600.0, 30.0);
   // U = R * e * l * p = 3 * 600 * 30 * 2.
   EXPECT_DOUBLE_EQ(PacmSolver::utility(o, 3.0), 3.0 * 600.0 * 30.0 * 2.0);
 }
 
 TEST(PacmSolver, UtilityClampsZeroFrequency) {
-  const auto o = object("k", 1, 1000, 1, 100.0, 10.0);
+  const auto o = object(1, 1, 1000, 1, 100.0, 10.0);
   EXPECT_GT(PacmSolver::utility(o, 0.0), 0.0);
 }
 
@@ -266,15 +291,16 @@ TEST(PacmSolver, EvictsLowestUtilityUnderPressure) {
   config.cache_capacity_bytes = 10'000;
   PacmSolver solver(config);
 
+  constexpr UrlHash kHigh = 1, kLow = 2;  // "high" < "low"
   std::vector<PacmObject> cached{
-      object("high", 1, 5'000, 2, 1000.0, 40.0),
-      object("low", 2, 5'000, 1, 10.0, 5.0),
+      object(kHigh, 1, 5'000, 2, 1000.0, 40.0),
+      object(kLow, 2, 5'000, 1, 10.0, 5.0),
   };
   // Incoming 5 kB object: one of the two must go.
   const auto decision = solver.select_evictions(cached, 5'000,
                                                 {{1, 3.0}, {2, 3.0}});
   ASSERT_EQ(decision.evict.size(), 1u);
-  EXPECT_EQ(decision.evict[0], "low");
+  EXPECT_EQ(decision.evict[0], kLow);
 }
 
 TEST(PacmSolver, KeepsEverythingWhenRoomRemains) {
@@ -282,8 +308,8 @@ TEST(PacmSolver, KeepsEverythingWhenRoomRemains) {
   config.cache_capacity_bytes = 100'000;
   PacmSolver solver(config);
   std::vector<PacmObject> cached{
-      object("a", 1, 10'000, 1, 100.0, 10.0),
-      object("b", 2, 10'000, 1, 100.0, 10.0),
+      object(1, 1, 10'000, 1, 100.0, 10.0),
+      object(2, 2, 10'000, 1, 100.0, 10.0),
   };
   const auto decision = solver.select_evictions(cached, 10'000, {{1, 1.0}, {2, 1.0}});
   EXPECT_TRUE(decision.evict.empty());
@@ -293,25 +319,26 @@ TEST(PacmSolver, PriorityBreaksTies) {
   ApeConfig config;
   config.cache_capacity_bytes = 10'000;
   PacmSolver solver(config);
+  constexpr UrlHash kHighPrio = 1, kLowPrio = 2;  // "high-prio" < "low-prio"
   std::vector<PacmObject> cached{
-      object("low-prio", 1, 5'000, 1, 300.0, 30.0),
-      object("high-prio", 2, 5'000, 2, 300.0, 30.0),
+      object(kLowPrio, 1, 5'000, 1, 300.0, 30.0),
+      object(kHighPrio, 2, 5'000, 2, 300.0, 30.0),
   };
   const auto decision = solver.select_evictions(cached, 5'000, {{1, 2.0}, {2, 2.0}});
   ASSERT_EQ(decision.evict.size(), 1u);
-  EXPECT_EQ(decision.evict[0], "low-prio");
+  EXPECT_EQ(decision.evict[0], kLowPrio);
 }
 
 TEST(PacmSolver, FairnessOfSingleAppIsZero) {
-  std::vector<PacmObject> objects{object("a", 1, 1000, 1, 1.0, 1.0)};
+  std::vector<PacmObject> objects{object(1, 1, 1000, 1, 1.0, 1.0)};
   EXPECT_DOUBLE_EQ(PacmSolver::fairness(objects, {true}, {{1, 1.0}}), 0.0);
 }
 
 TEST(PacmSolver, FairnessDetectsHoarding) {
   // Two apps, same frequency, one holds 10x the bytes.
   std::vector<PacmObject> objects{
-      object("a", 1, 100'000, 1, 1.0, 1.0),
-      object("b", 2, 10'000, 1, 1.0, 1.0),
+      object(1, 1, 100'000, 1, 1.0, 1.0),
+      object(2, 2, 10'000, 1, 1.0, 1.0),
   };
   const double f =
       PacmSolver::fairness(objects, {true, true}, {{1, 1.0}, {2, 1.0}});
@@ -328,9 +355,9 @@ TEST(PacmSolver, FairnessRepairEngagesWhenViolated) {
   std::vector<PacmObject> cached;
   for (int i = 0; i < 4; ++i) {
     cached.push_back(
-        object("big" + std::to_string(i), 1, 25'000, 2, 1000.0, 50.0));
+        object(static_cast<UrlHash>(1 + i), 1, 25'000, 2, 1000.0, 50.0));  // "big<i>"
   }
-  cached.push_back(object("small", 2, 2'000, 1, 100.0, 10.0));
+  cached.push_back(object(5, 2, 2'000, 1, 100.0, 10.0));  // "small"
 
   const auto decision = solver.select_evictions(cached, 10'000, {{1, 3.0}, {2, 3.0}});
   // Repair must have run at least once and the final packing satisfy theta
@@ -350,7 +377,7 @@ TEST(PacmSolver, KeptBytesRespectCapacityMinusIncoming) {
   sim::Rng rng(3);
   std::vector<PacmObject> cached;
   for (int i = 0; i < 20; ++i) {
-    cached.push_back(object("k" + std::to_string(i), static_cast<AppId>(i % 4),
+    cached.push_back(object(static_cast<UrlHash>(i), static_cast<AppId>(i % 4),
                             static_cast<std::size_t>(rng.uniform_int(1000, 9000)),
                             1 + static_cast<int>(rng.uniform_int(0, 1)),
                             rng.uniform_real(10.0, 3000.0), rng.uniform_real(5.0, 50.0)));
@@ -378,7 +405,7 @@ TEST(PacmPolicy, IntegratesWithCacheStore) {
   cache::CacheStore store(config.cache_capacity_bytes,
                           std::make_unique<PacmPolicy>(config, sim, freq));
 
-  auto make_entry = [&sim](const std::string& key, std::size_t size, int priority,
+  auto make_entry = [&sim](UrlHash key, std::size_t size, int priority,
                            AppId app, double ttl_s, double latency_ms) {
     cache::CacheEntry e;
     e.key = key;
@@ -393,16 +420,17 @@ TEST(PacmPolicy, IntegratesWithCacheStore) {
   freq.record_request(1, sim.now());
   freq.record_request(2, sim.now());
 
-  EXPECT_EQ(store.insert(make_entry("valuable", 5'000, 2, 1, 3000.0, 45.0), sim.now()),
+  constexpr UrlHash kCheap = 1, kIncoming = 2, kValuable = 3;  // in name order
+  EXPECT_EQ(store.insert(make_entry(kValuable, 5'000, 2, 1, 3000.0, 45.0), sim.now()),
             cache::CacheStore::InsertOutcome::Inserted);
-  EXPECT_EQ(store.insert(make_entry("cheap", 5'000, 1, 2, 30.0, 5.0), sim.now()),
+  EXPECT_EQ(store.insert(make_entry(kCheap, 5'000, 1, 2, 30.0, 5.0), sim.now()),
             cache::CacheStore::InsertOutcome::Inserted);
   // A third object forces PACM to choose: "cheap" must be the victim.
-  EXPECT_EQ(store.insert(make_entry("incoming", 5'000, 2, 1, 3000.0, 45.0), sim.now()),
+  EXPECT_EQ(store.insert(make_entry(kIncoming, 5'000, 2, 1, 3000.0, 45.0), sim.now()),
             cache::CacheStore::InsertOutcome::Inserted);
-  EXPECT_NE(store.lookup_any("valuable"), nullptr);
-  EXPECT_EQ(store.lookup_any("cheap"), nullptr);
-  EXPECT_NE(store.lookup_any("incoming"), nullptr);
+  EXPECT_NE(store.lookup_any(kValuable), nullptr);
+  EXPECT_EQ(store.lookup_any(kCheap), nullptr);
+  EXPECT_NE(store.lookup_any(kIncoming), nullptr);
   EXPECT_LE(store.used_bytes(), store.capacity_bytes());
 
   const auto& policy = static_cast<const PacmPolicy&>(store.policy());
@@ -418,8 +446,9 @@ TEST(PacmPolicy, ExpiredObjectsHaveZeroUtilityAndGoFirst) {
   cache::CacheStore store(config.cache_capacity_bytes,
                           std::make_unique<PacmPolicy>(config, sim, freq));
 
+  constexpr UrlHash kDying = 1, kHealthy = 2, kIncoming = 3;  // in name order
   cache::CacheEntry nearly_dead;
-  nearly_dead.key = "dying";
+  nearly_dead.key = kDying;
   nearly_dead.size_bytes = 5'000;
   nearly_dead.priority = 2;
   nearly_dead.app_id = 1;
@@ -428,7 +457,7 @@ TEST(PacmPolicy, ExpiredObjectsHaveZeroUtilityAndGoFirst) {
   store.insert(std::move(nearly_dead), sim.now());
 
   cache::CacheEntry healthy;
-  healthy.key = "healthy";
+  healthy.key = kHealthy;
   healthy.size_bytes = 5'000;
   healthy.priority = 1;
   healthy.app_id = 2;
@@ -437,7 +466,7 @@ TEST(PacmPolicy, ExpiredObjectsHaveZeroUtilityAndGoFirst) {
   store.insert(std::move(healthy), sim.now());
 
   cache::CacheEntry incoming;
-  incoming.key = "incoming";
+  incoming.key = kIncoming;
   incoming.size_bytes = 5'000;
   incoming.priority = 1;
   incoming.app_id = 3;
@@ -445,8 +474,8 @@ TEST(PacmPolicy, ExpiredObjectsHaveZeroUtilityAndGoFirst) {
   incoming.fetch_latency = sim::milliseconds(20.0);
   store.insert(std::move(incoming), sim.now());
 
-  EXPECT_EQ(store.lookup_any("dying"), nullptr);
-  EXPECT_NE(store.lookup_any("healthy"), nullptr);
+  EXPECT_EQ(store.lookup_any(kDying), nullptr);
+  EXPECT_NE(store.lookup_any(kHealthy), nullptr);
 }
 
 // ------------------------------------------------- wall-clock opt-in
@@ -459,8 +488,8 @@ TEST(PacmSolver, SolveTimingIsOffByDefault) {
   solver.set_observer(&observer);
 
   std::vector<PacmObject> cached{
-      object("a", 1, 5'000, 1, 100.0, 10.0),
-      object("b", 2, 5'000, 1, 100.0, 10.0),
+      object(1, 1, 5'000, 1, 100.0, 10.0),
+      object(2, 2, 5'000, 1, 100.0, 10.0),
   };
   (void)solver.select_evictions(cached, 5'000, {{1, 1.0}, {2, 1.0}});
 
@@ -479,8 +508,8 @@ TEST(PacmSolver, SolveTimingRecordedWhenWallclockEnabled) {
   solver.set_observer(&observer);
 
   std::vector<PacmObject> cached{
-      object("a", 1, 5'000, 1, 100.0, 10.0),
-      object("b", 2, 5'000, 1, 100.0, 10.0),
+      object(1, 1, 5'000, 1, 100.0, 10.0),
+      object(2, 2, 5'000, 1, 100.0, 10.0),
   };
   (void)solver.select_evictions(cached, 5'000, {{1, 1.0}, {2, 1.0}});
 

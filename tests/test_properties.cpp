@@ -201,7 +201,7 @@ TEST_P(PacmProperty, DominatedTwinIsNeverPreferred) {
   sim::Rng rng(GetParam());
 
   std::vector<core::PacmObject> objects;
-  std::vector<std::pair<std::string, std::string>> dominant_pairs;  // (better, worse)
+  std::vector<std::pair<UrlHash, UrlHash>> dominant_pairs;  // (better, worse)
   for (int p = 0; p < 6; ++p) {
     core::PacmObject base;
     base.app = static_cast<core::AppId>(p % 3);
@@ -211,9 +211,9 @@ TEST_P(PacmProperty, DominatedTwinIsNeverPreferred) {
     base.fetch_latency_ms = rng.uniform_real(20.0, 50.0);
 
     core::PacmObject better = base;
-    better.key = "better" + std::to_string(p);
+    better.key = static_cast<UrlHash>(p);  // "better<p>" < "worse<p>"
     core::PacmObject worse = base;
-    worse.key = "worse" + std::to_string(p);
+    worse.key = static_cast<UrlHash>(0x100 + p);
     switch (p % 3) {
       case 0: better.priority = 2; break;
       case 1: better.remaining_ttl_s = base.remaining_ttl_s * 2.0; break;
@@ -227,7 +227,7 @@ TEST_P(PacmProperty, DominatedTwinIsNeverPreferred) {
   const auto decision = solver.select_evictions(
       objects, /*incoming=*/20'000, {{0, 2.0}, {1, 2.0}, {2, 2.0}});
 
-  const auto evicted = [&](const std::string& key) {
+  const auto evicted = [&](UrlHash key) {
     return std::find(decision.evict.begin(), decision.evict.end(), key) !=
            decision.evict.end();
   };
@@ -255,7 +255,7 @@ TEST_P(PacmProperty, StoreWithPacmNeverExceedsCapacityUnderChurn) {
     freq.record_request(app, now);
 
     cache::CacheEntry entry;
-    entry.key = "k" + std::to_string(rng.uniform_int(0, 60));
+    entry.key = static_cast<UrlHash>(rng.uniform_int(0, 60));
     entry.size_bytes = static_cast<std::size_t>(rng.uniform_int(500, 30'000));
     entry.app_id = app;
     entry.priority = rng.bernoulli(0.4) ? 2 : 1;
@@ -282,7 +282,7 @@ TEST(FairnessProperty, RepairNeverIncreasesFairnessAboveUnconstrained) {
   std::vector<core::PacmObject> objects;
   for (int i = 0; i < 24; ++i) {
     core::PacmObject o;
-    o.key = "o" + std::to_string(i);
+    o.key = static_cast<UrlHash>(i);
     o.app = static_cast<core::AppId>(i % 4);
     o.size_bytes = static_cast<std::size_t>(rng.uniform_int(2'000, 20'000));
     o.priority = 1 + static_cast<int>(rng.uniform_int(0, 1));

@@ -11,7 +11,7 @@
 
 #include "cache/lru_policy.hpp"
 #include "cache/object_store.hpp"
-#include "core/url_hash.hpp"
+#include "common/url_hash.hpp"
 #include "obs/export.hpp"
 #include "sim/simulator.hpp"
 #include "store/flash_device.hpp"
@@ -24,7 +24,15 @@
 namespace ape::store {
 namespace {
 
-cache::CacheEntry entry(const std::string& key, std::size_t size, sim::Time expires,
+// Keys are hashes; these keep the order of the names they stand for
+// ("a" < "b" < "big" < ... < "x"), and kK0 + i / kObj0 + i that of "k<i>"
+// and "obj<i>" for i < 10.
+constexpr UrlHash kA = 0x10, kB = 0x20, kBig = 0x21, kC = 0x30, kCheap = 0x31, kD = 0x40,
+                  kE = 0x50, kF = 0x60, kFresh = 0x61, kHot = 0x70, kK0 = 0x80, kLong = 0x90,
+                  kObj0 = 0xa0, kPost = 0xb0, kPusher = 0xb1, kShort = 0xc0, kStale = 0xc1,
+                  kTrigger = 0xd0, kX = 0xe0;
+
+cache::CacheEntry entry(UrlHash key, std::size_t size, sim::Time expires,
                         sim::Duration fetch_latency = sim::milliseconds(30)) {
   cache::CacheEntry e;
   e.key = key;
@@ -93,36 +101,36 @@ struct TierFixture : ::testing::Test {
 
 TEST_F(TierFixture, PutPeekFetchRoundTrip) {
   build(100'000, 10'000);
-  ASSERT_EQ(tier->put(entry("a", 4'000, at_sec(60)), at_sec(0)), FlashTier::PutOutcome::Stored);
+  ASSERT_EQ(tier->put(entry(kA, 4'000, at_sec(60)), at_sec(0)), FlashTier::PutOutcome::Stored);
 
-  const auto* meta = tier->peek("a", at_sec(1));
+  const auto* meta = tier->peek(kA, at_sec(1));
   ASSERT_NE(meta, nullptr);
   EXPECT_EQ(meta->size_bytes, 4'000u);
 
   // A fetch pays real device time before handing back metadata.
   std::optional<ObjectMeta> got;
   sim::Time completed{};
-  tier->fetch("a", at_sec(1), [&](std::optional<ObjectMeta> m) {
+  tier->fetch(kA, at_sec(1), [&](std::optional<ObjectMeta> m) {
     got = std::move(m);
     completed = sim.now();
   });
   sim.run();
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->key, "a");
+  EXPECT_EQ(got->key, kA);
   EXPECT_GE(completed, sim::Time{} + device->read_cost(4'000));
 
   // Expired copies are invisible and a fetch reports a miss synchronously.
-  EXPECT_EQ(tier->peek("a", at_sec(120)), nullptr);
+  EXPECT_EQ(tier->peek(kA, at_sec(120)), nullptr);
   bool missed = false;
-  tier->fetch("a", at_sec(120), [&](std::optional<ObjectMeta> m) { missed = !m.has_value(); });
+  tier->fetch(kA, at_sec(120), [&](std::optional<ObjectMeta> m) { missed = !m.has_value(); });
   EXPECT_TRUE(missed);
 }
 
 TEST_F(TierFixture, OversizedAndExpiredPutsAreRejected) {
   build(10'000, 5'000);
-  EXPECT_EQ(tier->put(entry("big", 20'000, at_sec(60)), at_sec(0)),
+  EXPECT_EQ(tier->put(entry(kBig, 20'000, at_sec(60)), at_sec(0)),
             FlashTier::PutOutcome::Rejected);
-  EXPECT_EQ(tier->put(entry("stale", 1'000, at_sec(1)), at_sec(5)),
+  EXPECT_EQ(tier->put(entry(kStale, 1'000, at_sec(1)), at_sec(5)),
             FlashTier::PutOutcome::Rejected);
   EXPECT_EQ(tier->rejections(), 2u);
   EXPECT_EQ(tier->entry_count(), 0u);
@@ -131,7 +139,7 @@ TEST_F(TierFixture, OversizedAndExpiredPutsAreRejected) {
 TEST_F(TierFixture, SegmentsSealAndAccountingStaysConsistent) {
   build(1'000'000, 10'000);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(tier->put(entry("k" + std::to_string(i), 4'000, at_sec(600)), at_sec(0)),
+    ASSERT_EQ(tier->put(entry(kK0 + i, 4'000, at_sec(600)), at_sec(0)),
               FlashTier::PutOutcome::Stored);
   }
   // 8 x 4k at 10k/segment: segments sealed along the way.
@@ -150,24 +158,24 @@ TEST_F(TierFixture, SegmentsSealAndAccountingStaysConsistent) {
 TEST_F(TierFixture, InvalidationMarksDeadAndCompactionReclaims) {
   build(1'000'000, 10'000);
   for (int i = 0; i < 6; ++i) {
-    tier->put(entry("k" + std::to_string(i), 5'000, at_sec(600)), at_sec(0));
+    tier->put(entry(kK0 + i, 5'000, at_sec(600)), at_sec(0));
   }
   const auto physical_before = tier->physical_bytes();
 
   // Kill both objects of the first sealed segment: its dead ratio crosses
   // compact_dead_ratio (0.5), so the *next mutation* compacts it eagerly.
-  EXPECT_TRUE(tier->invalidate("k0"));
-  EXPECT_TRUE(tier->invalidate("k1"));
+  EXPECT_TRUE(tier->invalidate(kK0 + 0));
+  EXPECT_TRUE(tier->invalidate(kK0 + 1));
   EXPECT_EQ(tier->physical_bytes(), physical_before);  // dead bytes still occupy flash
 
-  tier->put(entry("trigger", 1'000, at_sec(600)), at_sec(0));
+  tier->put(entry(kTrigger, 1'000, at_sec(600)), at_sec(0));
   EXPECT_GE(tier->compactions(), 1u);
   EXPECT_LT(tier->physical_bytes(), physical_before);
   for (const auto& [id, seg] : tier->segments()) {
     EXPECT_LT(seg.dead_ratio(), 0.5) << "segment " << id << " should have been compacted";
   }
   // Survivors are intact.
-  for (const char* key : {"k2", "k3", "k4", "k5", "trigger"}) {
+  for (const UrlHash key : {kK0 + 2, kK0 + 3, kK0 + 4, kK0 + 5, kTrigger}) {
     EXPECT_NE(tier->peek(key, at_sec(1)), nullptr) << key;
   }
 }
@@ -175,34 +183,34 @@ TEST_F(TierFixture, InvalidationMarksDeadAndCompactionReclaims) {
 TEST_F(TierFixture, EvictionIsSoonestToExpireWithSeqTieBreak) {
   build(20'000, 5'000);
   // Fill to capacity: d expires first, a/c tie (a appended earlier).
-  tier->put(entry("a", 5'000, at_sec(300)), at_sec(0));
-  tier->put(entry("b", 5'000, at_sec(400)), at_sec(0));
-  tier->put(entry("c", 5'000, at_sec(300)), at_sec(0));
-  tier->put(entry("d", 5'000, at_sec(100)), at_sec(0));
+  tier->put(entry(kA, 5'000, at_sec(300)), at_sec(0));
+  tier->put(entry(kB, 5'000, at_sec(400)), at_sec(0));
+  tier->put(entry(kC, 5'000, at_sec(300)), at_sec(0));
+  tier->put(entry(kD, 5'000, at_sec(100)), at_sec(0));
   ASSERT_EQ(tier->entry_count(), 4u);
 
   // Needs one slot: d (soonest expiry) must go first.
-  ASSERT_EQ(tier->put(entry("e", 5'000, at_sec(500)), at_sec(0)), FlashTier::PutOutcome::Stored);
-  EXPECT_EQ(tier->peek("d", at_sec(1)), nullptr);
-  EXPECT_NE(tier->peek("a", at_sec(1)), nullptr);
+  ASSERT_EQ(tier->put(entry(kE, 5'000, at_sec(500)), at_sec(0)), FlashTier::PutOutcome::Stored);
+  EXPECT_EQ(tier->peek(kD, at_sec(1)), nullptr);
+  EXPECT_NE(tier->peek(kA, at_sec(1)), nullptr);
 
   // Next slot: a vs c tie on expiry, lower append seq (a) loses.
-  ASSERT_EQ(tier->put(entry("f", 5'000, at_sec(500)), at_sec(0)), FlashTier::PutOutcome::Stored);
-  EXPECT_EQ(tier->peek("a", at_sec(1)), nullptr);
-  EXPECT_NE(tier->peek("c", at_sec(1)), nullptr);
+  ASSERT_EQ(tier->put(entry(kF, 5'000, at_sec(500)), at_sec(0)), FlashTier::PutOutcome::Stored);
+  EXPECT_EQ(tier->peek(kA, at_sec(1)), nullptr);
+  EXPECT_NE(tier->peek(kC, at_sec(1)), nullptr);
   EXPECT_EQ(tier->evictions(), 2u);
 }
 
 TEST_F(TierFixture, SweepExpiredReclaimsLiveBytes) {
   build(100'000, 10'000);
-  tier->put(entry("short", 4'000, at_sec(10)), at_sec(0));
-  tier->put(entry("long", 6'000, at_sec(600)), at_sec(0));
+  tier->put(entry(kShort, 4'000, at_sec(10)), at_sec(0));
+  tier->put(entry(kLong, 6'000, at_sec(600)), at_sec(0));
 
   EXPECT_EQ(tier->sweep_expired(at_sec(5)), 0u);
   EXPECT_EQ(tier->sweep_expired(at_sec(60)), 4'000u);
   EXPECT_EQ(tier->entry_count(), 1u);
   EXPECT_EQ(tier->expired_reclaimed_bytes(), 4'000u);
-  EXPECT_NE(tier->peek("long", at_sec(60)), nullptr);
+  EXPECT_NE(tier->peek(kLong, at_sec(60)), nullptr);
 }
 
 // ----------------------------------------------------------- recovery
@@ -212,12 +220,12 @@ struct RecoveryFixture : TierFixture {
   // segments, overwrites, invalidations, eviction, compaction.
   void workout() {
     for (int i = 0; i < 10; ++i) {
-      tier->put(entry("obj" + std::to_string(i), 4'000, at_sec(300 + i)), at_sec(0));
+      tier->put(entry(kObj0 + i, 4'000, at_sec(300 + i)), at_sec(0));
     }
-    tier->invalidate("obj2");
-    tier->invalidate("obj3");
-    tier->put(entry("obj4", 4'500, at_sec(700)), at_sec(1));     // overwrite
-    tier->put(entry("fresh", 9'000, at_sec(800)), at_sec(1));    // forces room-making
+    tier->invalidate(kObj0 + 2);
+    tier->invalidate(kObj0 + 3);
+    tier->put(entry(kObj0 + 4, 4'500, at_sec(700)), at_sec(1));     // overwrite
+    tier->put(entry(kFresh, 9'000, at_sec(800)), at_sec(1));    // forces room-making
   }
 };
 
@@ -272,9 +280,9 @@ TEST_F(RecoveryFixture, RecoveredTierKeepsAbsorbingWrites) {
 
   // The unsealed segment was re-adopted as active: new puts append to it
   // (or seal it) without clashing with replayed segment ids.
-  ASSERT_EQ(recovered.put(entry("post", 3'000, at_sec(900)), at_sec(2)),
+  ASSERT_EQ(recovered.put(entry(kPost, 3'000, at_sec(900)), at_sec(2)),
             FlashTier::PutOutcome::Stored);
-  EXPECT_NE(recovered.peek("post", at_sec(3)), nullptr);
+  EXPECT_NE(recovered.peek(kPost, at_sec(3)), nullptr);
   EXPECT_EQ(recovered.entry_count(), count_before + 1);
 }
 
@@ -283,7 +291,7 @@ TEST_F(TierFixture, JournalCheckpointBoundsReplayCost) {
   // Hammer one key: without checkpointing the journal would grow one
   // Append + one Invalidate per overwrite, unbounded.
   for (int i = 0; i < 400; ++i) {
-    tier->put(entry("hot", 2'000, at_sec(600 + i)), at_sec(0));
+    tier->put(entry(kHot, 2'000, at_sec(600 + i)), at_sec(0));
   }
   EXPECT_GE(tier->journal().rewrites(), 1u);
   const auto budget = params.journal_rewrite_factor *
@@ -301,7 +309,7 @@ TEST_F(TierFixture, JournalCheckpointBoundsReplayCost) {
 
 TEST_F(TierFixture, ResetWipesStateAndJournal) {
   build(50'000, 10'000);
-  tier->put(entry("a", 4'000, at_sec(60)), at_sec(0));
+  tier->put(entry(kA, 4'000, at_sec(60)), at_sec(0));
   ASSERT_TRUE(media.formatted());
   tier->reset();
   EXPECT_EQ(tier->entry_count(), 0u);
@@ -330,71 +338,71 @@ struct TieredFixture : ::testing::Test {
 
 TEST_F(TieredFixture, RamEvictionDemotesToFlash) {
   build(10'000);
-  EXPECT_EQ(store->insert(entry("a", 6'000, at_sec(300)), at_sec(0)),
+  EXPECT_EQ(store->insert(entry(kA, 6'000, at_sec(300)), at_sec(0)),
             cache::CacheStore::InsertOutcome::Inserted);
   // b forces a out of RAM (LRU): a lands on flash, still servable.
-  EXPECT_EQ(store->insert(entry("b", 6'000, at_sec(300)), at_sec(1)),
+  EXPECT_EQ(store->insert(entry(kB, 6'000, at_sec(300)), at_sec(1)),
             cache::CacheStore::InsertOutcome::Inserted);
 
   EXPECT_EQ(store->demotions(), 1u);
-  EXPECT_EQ(ram->peek("a", at_sec(1)), nullptr);
-  EXPECT_TRUE(store->flash_contains("a", at_sec(1)));
+  EXPECT_EQ(ram->peek(kA, at_sec(1)), nullptr);
+  EXPECT_TRUE(store->flash_contains(kA, at_sec(1)));
 }
 
 TEST_F(TieredFixture, ExpiredAndCheapEntriesAreNotDemoted) {
   build(10'000);
   // Fetch latency below the flash read cost: demoting is pointless.
-  auto cheap = entry("cheap", 6'000, at_sec(300), sim::microseconds(50));
+  auto cheap = entry(kCheap, 6'000, at_sec(300), sim::microseconds(50));
   store->insert(cheap, at_sec(0));
-  store->insert(entry("pusher", 6'000, at_sec(300)), at_sec(1));
+  store->insert(entry(kPusher, 6'000, at_sec(300)), at_sec(1));
 
   EXPECT_EQ(store->demotions(), 0u);
   EXPECT_EQ(store->demotion_skips(), 1u);
-  EXPECT_FALSE(store->flash_contains("cheap", at_sec(1)));
+  EXPECT_FALSE(store->flash_contains(kCheap, at_sec(1)));
 
   // Explicit erase is dead data, not a demotion ("pusher" would be worth
   // demoting — its 30 ms fetch dwarfs flash — but it didn't get evicted).
-  ram->erase("pusher");
+  ram->erase(kPusher);
   EXPECT_EQ(store->demotions(), 0u);
-  EXPECT_FALSE(store->flash_contains("pusher", at_sec(2)));
+  EXPECT_FALSE(store->flash_contains(kPusher, at_sec(2)));
 }
 
 TEST_F(TieredFixture, FlashHitPromotesAndInvalidatesFlashCopy) {
   build(10'000);
-  store->insert(entry("a", 6'000, at_sec(300)), at_sec(0));
-  store->insert(entry("b", 6'000, at_sec(300)), at_sec(1));  // demotes a
-  ASSERT_TRUE(store->flash_contains("a", at_sec(1)));
+  store->insert(entry(kA, 6'000, at_sec(300)), at_sec(0));
+  store->insert(entry(kB, 6'000, at_sec(300)), at_sec(1));  // demotes a
+  ASSERT_TRUE(store->flash_contains(kA, at_sec(1)));
 
   std::optional<cache::CacheEntry> got;
-  store->fetch_flash("a", at_sec(2), [&](std::optional<cache::CacheEntry> e) { got = e; });
+  store->fetch_flash(kA, at_sec(2), [&](std::optional<cache::CacheEntry> e) { got = e; });
   sim.run();
 
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->key, "a");
+  EXPECT_EQ(got->key, kA);
   EXPECT_EQ(store->flash_hits(), 1u);
   EXPECT_EQ(store->promotions(), 1u);
   // RAM took it back, so the flash copy is superseded...
-  EXPECT_NE(ram->peek("a", at_sec(2)), nullptr);
-  EXPECT_FALSE(store->flash_contains("a", at_sec(2)));
+  EXPECT_NE(ram->peek(kA, at_sec(2)), nullptr);
+  EXPECT_FALSE(store->flash_contains(kA, at_sec(2)));
   // ...and the promotion in turn demoted b (LRU victim) to flash.
-  EXPECT_TRUE(store->flash_contains("b", at_sec(2)));
+  EXPECT_TRUE(store->flash_contains(kB, at_sec(2)));
 }
 
 TEST_F(TieredFixture, FreshInsertSupersedesFlashCopy) {
   build(10'000);
-  store->insert(entry("a", 6'000, at_sec(300)), at_sec(0));
-  store->insert(entry("b", 6'000, at_sec(300)), at_sec(1));  // demotes a
-  ASSERT_TRUE(store->flash_contains("a", at_sec(1)));
+  store->insert(entry(kA, 6'000, at_sec(300)), at_sec(0));
+  store->insert(entry(kB, 6'000, at_sec(300)), at_sec(1));  // demotes a
+  ASSERT_TRUE(store->flash_contains(kA, at_sec(1)));
 
   // A re-fetch from the edge re-inserts a: the stale flash copy must die.
-  store->insert(entry("a", 6'000, at_sec(600)), at_sec(2));
-  EXPECT_FALSE(store->flash_contains("a", at_sec(2)));
-  EXPECT_NE(ram->peek("a", at_sec(2)), nullptr);
+  store->insert(entry(kA, 6'000, at_sec(600)), at_sec(2));
+  EXPECT_FALSE(store->flash_contains(kA, at_sec(2)));
+  EXPECT_NE(ram->peek(kA, at_sec(2)), nullptr);
 }
 
 TEST_F(TieredFixture, FlashReadMsTracksDeviceCost) {
   build(10'000);
-  const auto e = entry("x", 100'000, at_sec(300));
+  const auto e = entry(kX, 100'000, at_sec(300));
   EXPECT_DOUBLE_EQ(store->flash_read_ms(e), sim::to_millis(device->read_cost(100'000)));
 }
 

@@ -25,7 +25,8 @@ CHECKS: Dict[str, str] = {
     "raw-seconds": "raw double seconds variable instead of sim::Duration",
     "span-leak": "trace span context opened but never closed or handed off",
     "cursor-bypass": "direct MetricsRegistry read inside a window-capture path",
-    "hot-alloc": "heap allocation, string stream or by-name metric lookup in a hot-path file",
+    "hot-alloc": "heap allocation, string stream, by-name metric lookup or cache-key "
+                 "render in a hot-path file",
     "shard-ownership": "shard-local state unannotated or mutated cross-shard",
     "layer-graph": "include edge violating the committed layer map, or an include cycle",
     "callback-capture": "arena-slot reference or raw pointer captured into a deferred callback",
@@ -473,6 +474,22 @@ def check_cursor_bypass(sf: SourceFile, symtab: SymbolTable,
 
 HOT_METRIC_NAMES = {"counter", "gauge", "histogram", "count"}
 STRING_STREAMS = {"istringstream", "ostringstream", "stringstream"}
+# Renders a UrlHash into a heap string: 16 characters, one past libstdc++'s
+# 15-byte small-string buffer.
+KEY_RENDERS = {"hash_to_string"}
+
+
+def _is_free_call(tokens, i: int) -> bool:
+    """`name(` at tokens[i] calls the free function: not a member call
+    (`x.name(`, `p->name(`) and not a declaration (`Type name(`)."""
+    if i + 1 >= len(tokens) or tokens[i + 1].kind != "punct" or tokens[i + 1].value != "(":
+        return False
+    prev = tokens[i - 1] if i > 0 else None
+    if prev is None:
+        return True
+    if prev.kind == "punct" and prev.value in (".", "->"):
+        return False
+    return not (prev.kind == "id" and prev.value != "return")
 
 
 def check_hot_alloc(sf: SourceFile, symtab: SymbolTable,
@@ -513,6 +530,15 @@ def check_hot_alloc(sf: SourceFile, symtab: SymbolTable,
                 "its buffer and takes the locale on every construction; parse "
                 "in place over std::string_view (common/parse.hpp) and format "
                 "with std::to_chars; annotate a deliberate cold-path use with "
+                "`// ape-lint: allow(hot-alloc)`"))
+        elif t.kind == "id" and t.value in KEY_RENDERS and _is_free_call(tokens, i):
+            findings.append(_finding(
+                sf, t.line, "hot-alloc",
+                f"`{t.value}(...)` in a hot-path file — it renders a cache key "
+                "into a heap string; keep stores, policies and maps keyed by "
+                "the UrlHash itself, hash or append the stack form "
+                "(render_url_hash) where text is needed, and annotate a "
+                "text boundary (span key, wire line, export) with "
                 "`// ape-lint: allow(hot-alloc)`"))
         elif t.kind == "punct" and t.value in (".", "->") and i + 3 < n \
                 and tokens[i + 1].kind == "id" \
