@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/ape_lru_system.hpp"
 #include "bench_common.hpp"
 #include "fleet/fleet_testbed.hpp"
 #include "testbed/app_driver.hpp"
@@ -48,21 +49,6 @@ constexpr std::size_t kMaxObjectKb = 800;
 constexpr double kFreqPerMin = 4.0;
 constexpr double kDurationMinutes = 15.0;
 constexpr double kZipfExponent = 0.8;
-
-// ClientRuntime -> ObjectFetcher adapter so the shared AppDriver can run
-// app DAGs against a fleet client.
-class FleetFetcher : public baselines::ObjectFetcher {
- public:
-  explicit FleetFetcher(core::ClientRuntime& runtime) : runtime_(runtime) {}
-  void fetch_object(const std::string& url,
-                    core::ClientRuntime::FetchHandler handler) override {
-    runtime_.fetch(url, std::move(handler));
-  }
-  [[nodiscard]] std::string system_name() const override { return "APE-CACHE fleet"; }
-
- private:
-  core::ClientRuntime& runtime_;
-};
 
 struct FleetRunStats {
   std::size_t app_runs = 0;
@@ -110,7 +96,7 @@ FleetRunStats run_fleet(std::size_t ap_count, bool enable_probe,
   for (const auto& app : apps) bed.host_app(app);
 
   std::vector<fleet::FleetTestbed::Client*> clients;
-  std::vector<std::unique_ptr<FleetFetcher>> fetchers;
+  std::vector<std::unique_ptr<baselines::ApeFetcher>> fetchers;
   clients.reserve(kClientCount);
   fetchers.reserve(kClientCount);
   for (std::size_t c = 0; c < kClientCount; ++c) {
@@ -120,7 +106,8 @@ FleetRunStats run_fleet(std::size_t ap_count, bool enable_probe,
       for (const auto& spec : app.cacheables()) client.runtime->register_cacheable(spec);
     }
     clients.push_back(&client);
-    fetchers.push_back(std::make_unique<FleetFetcher>(*client.runtime));
+    fetchers.push_back(
+        std::make_unique<baselines::ApeFetcher>(*client.runtime, "APE-CACHE fleet"));
   }
 
   // One driver per (app, client): successive arrivals of an app rotate

@@ -102,9 +102,8 @@ WiCacheApAgent::WiCacheApAgent(net::Network& network, net::TcpTransport& tcp,
   network_.bind_udp(node_, kWiCacheAgentControlPort,
                     [this](const net::Datagram& d) { on_control(d); });
   http_.set_serve_kind(APE_EVT("ap.wicache.agent_serve"));
-  http_.set_fallback([this](const http::HttpRequest& req, net::Endpoint,
-                            http::HttpServer::Responder respond) {
-    serve(req, std::move(respond));
+  http_.set_fallback([this](const http::HttpRequest& req, http::HttpServer::Responder r) {
+    serve(req, std::move(r));
   });
   store_.add_removal_listener([this](const cache::CacheEntry& entry, RemovalCause) {
     report("REMOVE", entry.key);
@@ -139,7 +138,6 @@ void WiCacheApAgent::prefetch(const std::string& url, net::IpAddress edge_ip) {
   const sim::Time now = network_.simulator().now();
   if (store_.peek(key, now) != nullptr) return;
 
-  ++prefetches_;
   http::HttpRequest req;
   req.url = std::move(parsed.value());
   req.headers.emplace_back("X-Origin-Pull", "1");  // cache fill = origin pull

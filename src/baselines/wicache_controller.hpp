@@ -74,7 +74,6 @@ class WiCacheApAgent {
   ~WiCacheApAgent();
 
   [[nodiscard]] const cache::CacheStore& store() const noexcept { return store_; }
-  [[nodiscard]] std::size_t prefetches() const noexcept { return prefetches_; }
 
  private:
   void on_control(const net::Datagram& dgram);
@@ -90,7 +89,6 @@ class WiCacheApAgent {
   APE_SHARD_LOCAL(ap) http::HttpServer http_;
   APE_SHARD_LOCAL(ap) http::HttpClient edge_client_;
   APE_SHARD_LOCAL(ap) net::Endpoint controller_;
-  APE_SHARD_LOCAL(ap) std::size_t prefetches_ = 0;
 };
 
 }  // namespace ape::baselines

@@ -13,7 +13,6 @@
 #include "cache/lru_policy.hpp"
 #include "core/pacm_policy.hpp"
 #include "core/trace_propagation.hpp"
-#include "http/origin_server.hpp"
 
 namespace ape::core {
 
@@ -51,7 +50,7 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
                       options_.observer))),
       block_list_(kBlockThresholdBytes),
       upstream_(network, node, kApUpstreamPort),
-      edge_client_(tcp, node),
+      edge_client_(tcp, node, options_.observer, "ap"),
       observer_(options_.observer),
       analytics_(options_.analytics) {
   if (observer_ != nullptr) {
@@ -150,9 +149,8 @@ ApRuntime::ApRuntime(net::Network& network, net::TcpTransport& tcp, net::NodeId 
   cost.per_kilobyte = kHttpServicePerKb;
   http_ = std::make_unique<http::HttpServer>(tcp_, node_, net::kHttpPort, cpu_, cost);
   http_->set_serve_kind(APE_EVT("ap.http.serve"));
-  http_->set_fallback([this](const http::HttpRequest& req, net::Endpoint,
-                             http::HttpServer::Responder respond) {
-    handle_http(req, std::move(respond));
+  http_->set_fallback([this](const http::HttpRequest& req, http::HttpServer::Responder r) {
+    handle_http(req, std::move(r));
   });
 }
 
@@ -324,10 +322,6 @@ void ApRuntime::answer_with_ip(const dns::DnsMessage& query, const dns::DnsName&
   respond(std::move(resp));
 }
 
-obs::SpanLog* ApRuntime::spans() const {
-  return observer_ == nullptr ? nullptr : &observer_->spans();
-}
-
 void ApRuntime::handle_dns_query(dns::DnsMessage query, net::Endpoint /*client*/,
                                  std::function<void(dns::DnsMessage)> respond) {
   auto view = extract_dns_cache(query);
@@ -335,20 +329,14 @@ void ApRuntime::handle_dns_query(dns::DnsMessage query, net::Endpoint /*client*/
   // Causal tracing: a TraceCtx RR on the query parents every AP-side span
   // under the client's dns.query span (DESIGN.md §5f).
   obs::TraceContext lookup_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (obs::SpanLog* log = obs::tracing(observer_); log != nullptr) {
     const obs::TraceContext client_ctx = extract_trace_context(query);
     if (client_ctx.valid() && !query.questions.empty()) {
       lookup_span = log->open(client_ctx, "ap.lookup", "ap",
                               query.questions.front().name.to_string(),
                               network_.simulator().now());
     }
-    if (lookup_span.valid()) {
-      respond = [this, lookup_span,
-                 respond = std::move(respond)](dns::DnsMessage msg) mutable {
-        spans()->close(lookup_span, network_.simulator().now());
-        respond(std::move(msg));
-      };
-    }
+    respond = obs::close_on_call(log, lookup_span, network_.simulator(), std::move(respond));
   }
 
   if (!options_.enable_ape || !view || !view.value().is_request) {
@@ -444,19 +432,18 @@ void ApRuntime::resolve_upstream(const dns::DnsName& name, const obs::TraceConte
   }
 
   hot_.dns_upstream_queries.add();
-  obs::TraceContext up_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
-    up_span = log->open(parent, "dns.upstream", "ap", name.to_string(), now);
+  if (obs::SpanLog* log = obs::tracing(observer_); log != nullptr) {
+    const obs::TraceContext span =
+        log->open(parent, "dns.upstream", "ap", name.to_string(), now);
+    done = obs::close_on_call(log, span, network_.simulator(), std::move(done));
   }
+  // No TYPE=301 RR upstream: the LDNS is not part of the trace, and the
+  // extra bytes would move traced timings.
   dns::DnsMessage q;
   q.header.rd = true;
   q.questions.push_back(dns::Question{name, dns::RrType::A, dns::RrClass::In});
   upstream_.query(options_.upstream_dns, std::move(q),
-                  [this, name, up_span,
-                   done = std::move(done)](Result<dns::DnsMessage> resp) mutable {
-                    if (obs::SpanLog* log = spans(); log != nullptr) {
-                      log->close(up_span, network_.simulator().now());
-                    }
+                  [this, name, done = std::move(done)](Result<dns::DnsMessage> resp) mutable {
                     if (!resp) {
                       done(make_error<DnsCacheEntry>(resp.error().message));
                       return;
@@ -586,19 +573,14 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
 
   // Causal tracing: parent everything the AP does for this request under
   // the client's http.fetch span (X-Ape-Trace header).
+  obs::SpanLog* log = obs::tracing(observer_);
   obs::TraceContext serve_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (log != nullptr) {
     if (const std::string* h = http::find_trace_context_header(request.headers)) {
       serve_span = log->open(obs::decode_trace_context(*h),
                              peer_request ? "ap.peer_serve" : "ap.serve", "ap", base, now);
     }
-    if (serve_span.valid()) {
-      respond = [this, serve_span,
-                 respond = std::move(respond)](http::HttpResponse resp) mutable {
-        spans()->close(serve_span, network_.simulator().now());
-        respond(std::move(resp));
-      };
-    }
+    respond = obs::close_on_call(log, serve_span, network_.simulator(), std::move(respond));
   }
 
   // Request frequency feeds PACM regardless of how the fetch resolves.
@@ -627,7 +609,7 @@ void ApRuntime::handle_http(const http::HttpRequest& request,
     // Flash hit: read the body off the device (paying flash time rather
     // than an edge round trip), promote if the RAM policy takes it, serve.
     hot_.http_flash_serves.add();
-    obs::ScopedTraceContext ambient(spans(), serve_span);  // -> ap.flash.read
+    obs::ScopedTraceContext ambient(log, serve_span);  // -> ap.flash.read
     tiered_->fetch_flash(
         hash, now,
         [this, request, hash, serve_span, peer_request, stale = std::move(stale),
@@ -662,25 +644,25 @@ void ApRuntime::finish_http_miss(const http::HttpRequest& request, UrlHash hash,
   // for a neighbor holding the object before paying the edge round trip.
   if (peer_resolver_ != nullptr) {
     hot_.peer_probes.add();
+    obs::SpanLog* log = obs::tracing(observer_);
     obs::TraceContext probe_span;
-    if (obs::SpanLog* log = spans(); log != nullptr && log->enabled()) {
+    if (log != nullptr) {
       probe_span = log->open(parent, "ap.peer_probe", "ap", hash_to_string(hash),
                              network_.simulator().now());
     }
-    peer_resolver_->lookup_peer(
-        hash, probe_span,
-        [this, request, hash, probe_span, parent, stale = std::move(stale),
+    PeerResolver::LookupHandler on_peer =
+        [this, request, hash, parent, stale = std::move(stale),
          respond = std::move(respond)](std::optional<PeerLocation> peer) mutable {
-          if (obs::SpanLog* log = spans(); log != nullptr) {
-            log->close(probe_span, network_.simulator().now());
-          }
           if (peer.has_value()) {
             relay_from_peer(request, hash, *peer, std::move(stale), parent,
                             std::move(respond));
           } else {
             miss_fallback(request, hash, std::move(stale), parent, std::move(respond));
           }
-        });
+        };
+    peer_resolver_->lookup_peer(
+        hash, probe_span,
+        obs::close_on_call(log, probe_span, network_.simulator(), std::move(on_peer)));
     return;
   }
   miss_fallback(request, hash, std::move(stale), parent, std::move(respond));
@@ -711,24 +693,11 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
   relay.url = request.url;
   relay.headers.emplace_back("X-Ape-Peer", std::to_string(ap_id_));
 
-  obs::SpanLog* log = spans();
-  obs::TraceContext fetch_span;
-  if (log != nullptr) {
-    fetch_span = log->open(parent, "http.fetch", "ap", request.url.base(),
-                           network_.simulator().now());
-    if (fetch_span.valid()) {
-      http::set_trace_context_header(relay.headers, obs::encode_trace_context(fetch_span));
-    }
-  }
-  obs::ScopedTraceContext ambient(log, fetch_span);  // -> net.connect
   edge_client_.fetch(
       net::Endpoint{peer.ip, net::kHttpPort}, std::move(relay),
-      [this, request, hash, fetch_span, parent, stale = std::move(stale),
+      [this, request, hash, parent, stale = std::move(stale),
        respond = std::move(respond)](Result<http::HttpResponse> result,
                                      http::FetchTiming) mutable {
-        const sim::Time now = network_.simulator().now();
-        if (obs::SpanLog* slog = spans(); slog != nullptr) slog->close(fetch_span, now);
-
         if (!result || !result.value().ok()) {
           // Stale redirect: the peer no longer holds the copy the directory
           // advertised.  Tell the resolver (it drops its cached answer and
@@ -754,7 +723,8 @@ void ApRuntime::relay_from_peer(const http::HttpRequest& request, UrlHash hash,
         resp.simulated_body_bytes = size;
         resp.headers.emplace_back("X-Cache", "AP-PEER");
         respond(std::move(resp));
-      });
+      },
+      parent);
 }
 
 void ApRuntime::insert_object(cache::CacheEntry entry, sim::Time now) {
@@ -790,20 +760,15 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
   const sim::Time fetch_start = network_.simulator().now();
   hot_.delegations.add();
 
+  obs::SpanLog* log = obs::tracing(observer_);
   obs::TraceContext delegate_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (log != nullptr) {
     delegate_span = log->open(parent, "ap.delegate", "ap", base, fetch_start);
-    if (delegate_span.valid()) {
-      respond = [this, delegate_span,
-                 respond = std::move(respond)](http::HttpResponse resp) mutable {
-        spans()->close(delegate_span, network_.simulator().now());
-        respond(std::move(resp));
-      };
-    }
+    respond = obs::close_on_call(log, delegate_span, network_.simulator(), std::move(respond));
   }
 
   resolve_upstream(info.domain, delegate_span,
-                   [this, request, hash, ttl_seconds, priority, app, fetch_start,
+                   [this, log, request, hash, ttl_seconds, priority, app, fetch_start,
                     delegate_span, stale = std::move(stale), respond = std::move(respond)](
                        Result<DnsCacheEntry> resolved) mutable {
     if (!resolved) {
@@ -819,25 +784,12 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
     upstream_req.headers.emplace_back("X-Origin-Pull", "1");
     if (stale) upstream_req.headers.emplace_back("If-None-Match", stale->etag);
 
-    obs::SpanLog* log = spans();
-    obs::TraceContext fetch_span;
-    if (log != nullptr) {
-      fetch_span = log->open(delegate_span, "http.fetch", "ap", request.url.base(),
-                             network_.simulator().now());
-      if (fetch_span.valid()) {
-        http::set_trace_context_header(upstream_req.headers,
-                                       obs::encode_trace_context(fetch_span));
-      }
-    }
-    obs::ScopedTraceContext ambient(log, fetch_span);  // -> net.connect
     edge_client_.fetch(
         net::Endpoint{resolved.value().ip, net::kHttpPort}, std::move(upstream_req),
-        [this, request, hash, ttl_seconds, priority, app, fetch_start, delegate_span,
-         fetch_span, stale = std::move(stale), respond = std::move(respond)](
+        [this, log, hash, ttl_seconds, priority, app, fetch_start, delegate_span,
+         stale = std::move(stale), respond = std::move(respond)](
             Result<http::HttpResponse> result, http::FetchTiming) mutable {
           const sim::Time now = network_.simulator().now();
-          if (obs::SpanLog* slog = spans(); slog != nullptr) slog->close(fetch_span, now);
-
           if (result && result.value().status == 304 && stale) {
             // Not modified: refresh the stale entry's lifetime and serve it
             // locally — no body crossed the WAN.
@@ -850,7 +802,7 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
             entry.expires = now + sim::seconds(ttl);
             const std::size_t size = entry.size_bytes;
             {
-              obs::ScopedTraceContext insert_ambient(spans(), delegate_span);
+              obs::ScopedTraceContext insert_ambient(log, delegate_span);
               insert_object(std::move(entry), now);
             }
             account_served_bytes(size);
@@ -874,7 +826,7 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
           // PACM prices a cached object with its last observed fetch
           // latency l_d; compare that estimate against this measurement.
           // Report-only and span-gated: default exports stay byte-identical.
-          if (obs::SpanLog* slog = spans(); slog != nullptr && slog->enabled()) {
+          if (log != nullptr) {
             if (auto info_it = url_index_.find(hash); info_it != url_index_.end()) {
               const double measured_ms = sim::to_millis(fetch_latency);
               if (info_it->second.last_fetch_ms >= 0.0) {
@@ -901,7 +853,7 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
               entry.etag = *etag;
             }
             {
-              obs::ScopedTraceContext insert_ambient(spans(), delegate_span);
+              obs::ScopedTraceContext insert_ambient(log, delegate_span);
               insert_object(std::move(entry), now);
             }
             hot_.cache_inserts.add();
@@ -916,7 +868,8 @@ void ApRuntime::delegate_fetch(const http::HttpRequest& request, UrlHash hash,
 
           resp.headers.emplace_back("X-Cache", "AP-DELEGATED");
           respond(std::move(resp));
-        });
+        },
+        delegate_span);
   });
 }
 

@@ -154,9 +154,6 @@ class ApRuntime {
     double last_fetch_ms = -1.0;
   };
 
-  // Nullable span sink (null when no observer is attached).
-  [[nodiscard]] obs::SpanLog* spans() const;
-
   void handle_dns_query(dns::DnsMessage query, net::Endpoint client,
                         std::function<void(dns::DnsMessage)> respond);
   void handle_regular_dns(const dns::DnsMessage& query, const obs::TraceContext& parent,

@@ -7,6 +7,30 @@
 
 namespace ape::core {
 
+namespace {
+
+// A recursive A query for `name`: the question every client lookup asks.
+dns::DnsMessage a_query(const dns::DnsName& name) {
+  dns::DnsMessage query;
+  query.header.rd = true;
+  query.questions.push_back(dns::Question{name, dns::RrType::A, dns::RrClass::In});
+  return query;
+}
+
+// The DNS-Cache query: the A question plus one TYPE=300 RR asking about
+// `hashes`.
+dns::DnsMessage dns_cache_query(const dns::DnsName& domain,
+                                const std::vector<UrlHash>& hashes) {
+  dns::DnsMessage query = a_query(domain);
+  std::vector<CacheLookupEntry> entries;
+  entries.reserve(hashes.size());
+  for (UrlHash h : hashes) entries.push_back(CacheLookupEntry{h, CacheFlag::Delegation});
+  query.additionals.push_back(make_cache_request_rr(domain, entries));
+  return query;
+}
+
+}  // namespace
+
 const char* to_string(ClientRuntime::Source source) noexcept {
   switch (source) {
     case ClientRuntime::Source::ApCache: return "ap-cache";
@@ -25,7 +49,7 @@ ClientRuntime::ClientRuntime(net::Network& network, net::TcpTransport& tcp, net:
       node_(node),
       options_(options),
       dns_(network, node, dns_port),
-      http_(tcp, node) {
+      http_(tcp, node, options_.observer, "client") {
   if (options_.observer != nullptr) {
     // Lazy handles on purpose: each instrument materialises in the export
     // at its first event, exactly like the by-name lookups these replace.
@@ -62,27 +86,22 @@ const CacheableSpec* ClientRuntime::find_cacheable(const std::string& base_url) 
   return it == registry_.end() ? nullptr : &it->second;
 }
 
-obs::SpanLog* ClientRuntime::spans() const {
-  return options_.observer == nullptr ? nullptr : &options_.observer->spans();
-}
-
-dns::DnsMessage ClientRuntime::build_dns_cache_query(const dns::DnsName& domain,
-                                                     const std::vector<UrlHash>& hashes,
-                                                     const obs::TraceContext& ctx) const {
-  dns::DnsMessage query;
-  query.header.rd = true;
-  query.questions.push_back(dns::Question{domain, dns::RrType::A, dns::RrClass::In});
-  std::vector<CacheLookupEntry> entries;
-  entries.reserve(hashes.size());
-  for (UrlHash h : hashes) entries.push_back(CacheLookupEntry{h, CacheFlag::Delegation});
-  query.additionals.push_back(make_cache_request_rr(domain, entries));
-  if (ctx.valid()) query.additionals.push_back(make_trace_context_rr(domain, ctx));
-  return query;
+void ClientRuntime::query_ap(dns::DnsMessage query, const obs::TraceContext& parent,
+                             dns::DnsClient::QueryHandler done) {
+  obs::SpanLog* log = parent.valid() ? obs::tracing(options_.observer) : nullptr;
+  if (log != nullptr) {
+    const dns::DnsName& name = query.questions.front().name;
+    const obs::TraceContext span =
+        log->open(parent, "dns.query", "client", name.to_string(), network_.simulator().now());
+    if (span.valid()) query.additionals.push_back(make_trace_context_rr(name, span));
+    done = obs::close_on_call(log, span, network_.simulator(), std::move(done));
+  }
+  dns_.query(options_.ap_dns, std::move(query), std::move(done));
 }
 
 void ClientRuntime::finish(FetchHandler& handler, const obs::TraceContext& root,
                            FetchResult result) {
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (obs::SpanLog* log = obs::tracing(options_.observer); log != nullptr) {
     log->close(root, network_.simulator().now());
   }
   hot_.fetches.add();
@@ -110,9 +129,7 @@ void ClientRuntime::finish(FetchHandler& handler, const obs::TraceContext& root,
 void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
   auto parsed = http::Url::parse(url);
   if (!parsed) {
-    FetchResult r;
-    r.error = "bad URL: " + parsed.error().message;
-    finish(handler, {}, std::move(r));
+    finish(handler, {}, {.error = "bad URL: " + parsed.error().message});
     return;
   }
   const std::string base = parsed.value().base();
@@ -122,17 +139,17 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
     return;
   }
 
-  Target target{url, std::move(parsed.value())};
+  http::Url target = std::move(parsed.value());
   const UrlHash hash = hash_url(base);
   const sim::Time start = network_.simulator().now();
   obs::TraceContext root;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (obs::SpanLog* log = obs::tracing(options_.observer); log != nullptr) {
     root = log->open_root("client.request", "client", "app:" + std::to_string(spec->app),
                           start);
   }
 
   // Fresh flags from a previous DNS-Cache response for this domain?
-  if (auto it = domains_.find(target.url.host); it != domains_.end()) {
+  if (auto it = domains_.find(target.host); it != domains_.end()) {
     if (it->second.expires > start) {
       const auto flag_it = it->second.flags.find(hash);
       // A URL the AP has not reported on yet defaults to Delegation (the
@@ -146,41 +163,28 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
     domains_.erase(it);
   }
 
-  auto domain = dns::DnsName::parse(target.url.host);
+  auto domain = dns::DnsName::parse(target.host);
   if (!domain) {
-    FetchResult r;
-    r.error = "bad hostname";
-    finish(handler, root, std::move(r));
+    finish(handler, root, {.error = "bad hostname"});
     return;
   }
 
-  network_.simulator().schedule_in(options_.dns_cache_build_cost, [this,
-                                                                   target = std::move(target),
-                                                                   spec, hash, start, root,
-                                                                   domain = std::move(
-                                                                       domain.value()),
-                                                                   handler = std::move(
-                                                                       handler)]() mutable {
-  obs::TraceContext dns_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
-    dns_span = log->open(root, "dns.query", "client", target.url.host,
-                         network_.simulator().now());
-  }
-  dns::DnsMessage query = build_dns_cache_query(domain, {hash}, dns_span);
-  dns_.query(options_.ap_dns, std::move(query),
+  network_.simulator().schedule_in(kDnsCacheBuildCost, [this, target = std::move(target), spec,
+                                                        hash, start, root,
+                                                        domain = std::move(domain.value()),
+                                                        handler = std::move(
+                                                            handler)]() mutable {
+    dns::DnsMessage query = dns_cache_query(domain, {hash});
+    query_ap(std::move(query), root,
              [this, target = std::move(target), domain = std::move(domain), spec, hash, start,
-              root, dns_span,
-              handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
-               if (obs::SpanLog* log = spans(); log != nullptr) {
-                 log->close(dns_span, network_.simulator().now());
-               }
-               const sim::Duration lookup = network_.simulator().now() - start;
+              root, handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
+               const sim::Time now = network_.simulator().now();
                if (!response) {
                  // DNS-Cache lookup failed outright; degrade to the edge
                  // path (same trace root — the failed lookup stays part of
                  // this request's critical path).
-                 resolve_and_fetch_edge(std::move(target), network_.simulator().now(), root,
-                                        std::move(handler));
+                 resolve_edge(std::move(target), now, false, CacheFlag::CacheMiss, root,
+                              std::move(handler));
                  return;
                }
 
@@ -205,19 +209,19 @@ void ClientRuntime::fetch(const std::string& url, FetchHandler handler) {
                if (ttl > 0 && ip != net::kDummyIp) {
                  DomainState state;
                  state.ip = ip;
-                 state.expires = network_.simulator().now() + sim::seconds(ttl);
+                 state.expires = now + sim::seconds(ttl);
                  if (has_flags) {
                    for (const auto& e : view.value().entries) state.flags[e.hash] = e.flag;
                  }
-                 domains_[target.url.host] = std::move(state);
+                 domains_[target.host] = std::move(state);
                }
-               dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,
+               dispatch(std::move(target), *spec, flag, ip, start, now - start, false, root,
                         std::move(handler));
              });
   }, APE_EVT("client.dns.cache_build"));
 }
 
-void ClientRuntime::dispatch(Target target, const CacheableSpec& spec, CacheFlag flag,
+void ClientRuntime::dispatch(http::Url target, const CacheableSpec& spec, CacheFlag flag,
                              net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                              bool lookup_cached, const obs::TraceContext& root,
                              FetchHandler handler) {
@@ -237,12 +241,12 @@ void ClientRuntime::dispatch(Target target, const CacheableSpec& spec, CacheFlag
   }
 }
 
-void ClientRuntime::fetch_from_ap(Target target, const CacheableSpec& spec, bool delegate,
+void ClientRuntime::fetch_from_ap(http::Url target, const CacheableSpec& spec, bool delegate,
                                   net::IpAddress edge_ip, sim::Time start,
                                   sim::Duration lookup, bool lookup_cached, CacheFlag flag,
                                   const obs::TraceContext& root, FetchHandler handler) {
   http::HttpRequest req;
-  req.url = target.url;  // the target stays whole for the edge fallback
+  req.url = target;  // the target stays whole for the edge fallback
   req.headers.reserve(delegate ? 4 : 1);
   req.headers.emplace_back("X-Ape-App", std::to_string(spec.app));
   if (delegate) {
@@ -251,23 +255,11 @@ void ClientRuntime::fetch_from_ap(Target target, const CacheableSpec& spec, bool
     req.headers.emplace_back("X-Ape-Priority", std::to_string(spec.priority));
   }
 
-  const sim::Time fetch_start = network_.simulator().now();
-  obs::SpanLog* log = spans();
-  obs::TraceContext fetch_span;
-  if (log != nullptr) {
-    fetch_span = log->open(root, "http.fetch", "client", target.text, fetch_start);
-    if (fetch_span.valid()) {
-      http::set_trace_context_header(req.headers, obs::encode_trace_context(fetch_span));
-    }
-  }
-  obs::ScopedTraceContext ambient(log, fetch_span);
   http_.fetch(
       net::Endpoint{options_.ap_ip, net::kHttpPort}, std::move(req),
-      [this, target = std::move(target), edge_ip, start, lookup, lookup_cached, flag,
-       fetch_start, root, fetch_span, handler = std::move(handler)](
-          Result<http::HttpResponse> result, http::FetchTiming) mutable {
-        const sim::Time now = network_.simulator().now();
-        if (obs::SpanLog* slog = spans(); slog != nullptr) slog->close(fetch_span, now);
+      [this, target = std::move(target), edge_ip, start, lookup, lookup_cached, flag, root,
+       handler = std::move(handler)](Result<http::HttpResponse> result,
+                                     http::FetchTiming timing) mutable {
         if (!result || !result.value().ok()) {
           // Lookup/fetch race (evicted or expired in between), or the AP's
           // delegated fetch failed: fall back to the edge.
@@ -289,162 +281,95 @@ void ClientRuntime::fetch_from_ap(Target target, const CacheableSpec& spec, bool
         r.flag = was_hit ? CacheFlag::CacheHit : flag;
         r.lookup_from_cache = lookup_cached;
         r.lookup_latency = lookup;
-        r.retrieval_latency = now - fetch_start;
-        r.total = now - start;
+        r.retrieval_latency = timing.first_byte;
+        r.total = network_.simulator().now() - start;
         r.bytes = result.value().total_body_bytes();
         finish(handler, root, std::move(r));
-      });
+      },
+      root);
 }
 
-void ClientRuntime::fetch_from_edge(Target target, net::IpAddress edge_ip, sim::Time start,
+void ClientRuntime::fetch_from_edge(http::Url target, net::IpAddress edge_ip, sim::Time start,
                                     sim::Duration lookup, bool lookup_cached, CacheFlag flag,
                                     const obs::TraceContext& root, FetchHandler handler) {
   if (edge_ip == net::kDummyIp || edge_ip.is_unspecified()) {
     // We never learned a real edge address (dummy-IP short circuit):
     // resolve regularly, then fetch.
-    auto domain = dns::DnsName::parse(target.url.host);
-    dns::DnsMessage query;
-    query.header.rd = true;
-    query.questions.push_back(dns::Question{domain.value(), dns::RrType::A, dns::RrClass::In});
-    obs::TraceContext dns_span;
-    if (obs::SpanLog* log = spans(); log != nullptr) {
-      dns_span = log->open(root, "dns.query", "client", target.url.host,
-                           network_.simulator().now());
-      if (dns_span.valid()) {
-        query.additionals.push_back(make_trace_context_rr(domain.value(), dns_span));
-      }
-    }
-    dns_.query(options_.ap_dns, std::move(query),
-               [this, target = std::move(target), domain = std::move(domain.value()), start,
-                lookup, lookup_cached, flag, root, dns_span,
-                handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
-                 if (obs::SpanLog* log = spans(); log != nullptr) {
-                   log->close(dns_span, network_.simulator().now());
-                 }
-                 if (!response) {
-                   FetchResult r;
-                   r.error = "edge re-resolution failed: " + response.error().message;
-                   finish(handler, root, std::move(r));
-                   return;
-                 }
-                 auto addr = dns::StubResolver::extract_address(response.value(), domain);
-                 if (!addr) {
-                   FetchResult r;
-                   r.error = "edge re-resolution: " + addr.error().message;
-                   finish(handler, root, std::move(r));
-                   return;
-                 }
-                 fetch_from_edge(std::move(target), addr.value().address, start,
-                                 network_.simulator().now() - start, lookup_cached, flag,
-                                 root, std::move(handler));
-               });
+    resolve_edge(std::move(target), start, lookup_cached, flag, root, std::move(handler));
     return;
   }
 
   http::HttpRequest req;
-  req.url = std::move(target.url);
-  const sim::Time fetch_start = network_.simulator().now();
-  obs::SpanLog* log = spans();
-  obs::TraceContext fetch_span;
-  if (log != nullptr) {
-    fetch_span = log->open(root, "http.fetch", "client", target.text, fetch_start);
-    if (fetch_span.valid()) {
-      http::set_trace_context_header(req.headers, obs::encode_trace_context(fetch_span));
-    }
-  }
-  obs::ScopedTraceContext ambient(log, fetch_span);
-  http_.fetch(net::Endpoint{edge_ip, net::kHttpPort}, std::move(req),
-              [this, start, lookup, lookup_cached, flag, fetch_start, root, fetch_span,
-               handler = std::move(handler)](Result<http::HttpResponse> result,
-                                             http::FetchTiming) mutable {
-                const sim::Time now = network_.simulator().now();
-                if (obs::SpanLog* slog = spans(); slog != nullptr) {
-                  slog->close(fetch_span, now);
-                }
-                FetchResult r;
-                r.flag = flag;
-                r.lookup_from_cache = lookup_cached;
-                r.lookup_latency = lookup;
-                r.retrieval_latency = now - fetch_start;
-                r.total = now - start;
-                if (!result) {
-                  r.error = result.error().message;
-                } else if (!result.value().ok()) {
-                  r.error = "edge HTTP " + std::to_string(result.value().status);
-                } else {
-                  r.success = true;
-                  r.source = Source::EdgeServer;
-                  r.bytes = result.value().total_body_bytes();
-                }
-                finish(handler, root, std::move(r));
-              });
+  req.url = std::move(target);
+  http_.fetch(
+      net::Endpoint{edge_ip, net::kHttpPort}, std::move(req),
+      [this, start, lookup, lookup_cached, flag, root, handler = std::move(handler)](
+          Result<http::HttpResponse> result, http::FetchTiming timing) mutable {
+        FetchResult r;
+        r.flag = flag;
+        r.lookup_from_cache = lookup_cached;
+        r.lookup_latency = lookup;
+        r.retrieval_latency = timing.first_byte;
+        r.total = network_.simulator().now() - start;
+        if (!result) {
+          r.error = result.error().message;
+        } else if (!result.value().ok()) {
+          r.error = "edge HTTP " + std::to_string(result.value().status);
+        } else {
+          r.success = true;
+          r.source = Source::EdgeServer;
+          r.bytes = result.value().total_body_bytes();
+        }
+        finish(handler, root, std::move(r));
+      },
+      root);
 }
 
 void ClientRuntime::fetch_via_edge(const std::string& url, FetchHandler handler) {
   const sim::Time start = network_.simulator().now();
   obs::TraceContext root;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (obs::SpanLog* log = obs::tracing(options_.observer); log != nullptr) {
     root = log->open_root("client.request", "client", url, start);
   }
   auto parsed = http::Url::parse(url);
   if (!parsed) {
-    FetchResult r;
-    r.error = "bad URL: " + parsed.error().message;
-    finish(handler, root, std::move(r));
+    finish(handler, root, {.error = "bad URL: " + parsed.error().message});
     return;
   }
-  resolve_and_fetch_edge(Target{url, std::move(parsed.value())}, start, root,
-                         std::move(handler));
+  resolve_edge(std::move(parsed.value()), start, false, CacheFlag::CacheMiss, root,
+               std::move(handler));
 }
 
-void ClientRuntime::resolve_and_fetch_edge(Target target, sim::Time start,
-                                           const obs::TraceContext& root,
-                                           FetchHandler handler) {
-  auto domain = dns::DnsName::parse(target.url.host);
+void ClientRuntime::resolve_edge(http::Url target, sim::Time start, bool lookup_cached,
+                                 CacheFlag flag, const obs::TraceContext& root,
+                                 FetchHandler handler) {
+  auto domain = dns::DnsName::parse(target.host);
   if (!domain) {
-    FetchResult r;
-    r.error = "bad hostname";
-    finish(handler, root, std::move(r));
+    finish(handler, root, {.error = "bad hostname"});
     return;
   }
 
-  dns::DnsMessage query;
-  query.header.rd = true;
-  query.questions.push_back(dns::Question{domain.value(), dns::RrType::A, dns::RrClass::In});
-  obs::TraceContext dns_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
-    dns_span = log->open(root, "dns.query", "client", target.url.host,
-                         network_.simulator().now());
-    if (dns_span.valid()) {
-      query.additionals.push_back(make_trace_context_rr(domain.value(), dns_span));
-    }
-  }
-  dns_.query(options_.ap_dns, std::move(query),
-             [this, target = std::move(target), domain = std::move(domain.value()), start,
-              root, dns_span,
-              handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
-               if (obs::SpanLog* log = spans(); log != nullptr) {
-                 log->close(dns_span, network_.simulator().now());
-               }
-               const sim::Duration lookup = network_.simulator().now() - start;
-               if (!response) {
-                 FetchResult r;
-                 r.lookup_latency = lookup;
-                 r.error = "DNS failed: " + response.error().message;
-                 finish(handler, root, std::move(r));
-                 return;
-               }
-               auto addr = dns::StubResolver::extract_address(response.value(), domain);
-               if (!addr) {
-                 FetchResult r;
-                 r.lookup_latency = lookup;
-                 r.error = "DNS: " + addr.error().message;
-                 finish(handler, root, std::move(r));
-                 return;
-               }
-               fetch_from_edge(std::move(target), addr.value().address, start, lookup, false,
-                               CacheFlag::CacheMiss, root, std::move(handler));
-             });
+  dns::DnsMessage query = a_query(domain.value());
+  query_ap(std::move(query), root,
+           [this, target = std::move(target), domain = std::move(domain.value()), start,
+            lookup_cached, flag, root,
+            handler = std::move(handler)](Result<dns::DnsMessage> response) mutable {
+             const sim::Duration lookup = network_.simulator().now() - start;
+             if (!response) {
+               finish(handler, root,
+                      {.lookup_latency = lookup,
+                       .error = "DNS failed: " + response.error().message});
+               return;
+             }
+             auto addr = dns::StubResolver::extract_address(response.value(), domain);
+             if (!addr) {
+               finish(handler, root,
+                      {.lookup_latency = lookup, .error = "DNS: " + addr.error().message});
+               return;
+             }
+             fetch_from_edge(std::move(target), addr.value().address, start, lookup,
+                             lookup_cached, flag, root, std::move(handler));
+           });
 }
 
 void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handler) {
@@ -452,9 +377,7 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
   // separate DNS-Cache query, then the normal dispatch.
   auto parsed = http::Url::parse(url);
   if (!parsed) {
-    FetchResult r;
-    r.error = "bad URL: " + parsed.error().message;
-    finish(handler, {}, std::move(r));
+    finish(handler, {}, {.error = "bad URL: " + parsed.error().message});
     return;
   }
   const std::string base = parsed.value().base();
@@ -463,34 +386,25 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
     fetch_via_edge(url, std::move(handler));
     return;
   }
-  Target target{url, std::move(parsed.value())};
-  const std::string host = target.url.host;
+  http::Url target = std::move(parsed.value());
   const UrlHash hash = hash_url(base);
   const sim::Time start = network_.simulator().now();
-  auto domain = dns::DnsName::parse(host).value();
   obs::TraceContext root;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (obs::SpanLog* log = obs::tracing(options_.observer); log != nullptr) {
     root = log->open_root("client.request", "client", "app:" + std::to_string(spec->app),
                           start);
   }
-
-  dns::DnsMessage plain;
-  plain.header.rd = true;
-  plain.questions.push_back(dns::Question{domain, dns::RrType::A, dns::RrClass::In});
-  obs::TraceContext first_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
-    first_span = log->open(root, "dns.query", "client", host, start);
-    if (first_span.valid()) {
-      plain.additionals.push_back(make_trace_context_rr(domain, first_span));
-    }
+  auto domain = dns::DnsName::parse(target.host);
+  if (!domain) {
+    finish(handler, root, {.error = "bad hostname"});
+    return;
   }
-  dns_.query(
-      options_.ap_dns, std::move(plain),
-      [this, target = std::move(target), spec, hash, host, domain, start, root, first_span,
-       handler = std::move(handler)](Result<dns::DnsMessage> first) mutable {
-        if (obs::SpanLog* log = spans(); log != nullptr) {
-          log->close(first_span, network_.simulator().now());
-        }
+
+  dns::DnsMessage plain = a_query(domain.value());
+  query_ap(
+      std::move(plain), root,
+      [this, target = std::move(target), spec, hash, domain = std::move(domain.value()), start,
+       root, handler = std::move(handler)](Result<dns::DnsMessage> first) mutable {
         net::IpAddress ip = net::kDummyIp;
         if (first) {
           if (auto addr = dns::StubResolver::extract_address(first.value(), domain)) {
@@ -498,30 +412,23 @@ void ClientRuntime::fetch_standalone(const std::string& url, FetchHandler handle
           }
         }
         // Second, standalone cache query.
-        obs::TraceContext second_span;
-        if (obs::SpanLog* log = spans(); log != nullptr) {
-          second_span =
-              log->open(root, "dns.query", "client", host, network_.simulator().now());
-        }
-        dns_.query(options_.ap_dns, build_dns_cache_query(domain, {hash}, second_span),
-                   [this, target = std::move(target), spec, hash, ip, start, root, second_span,
-                    handler = std::move(handler)](Result<dns::DnsMessage> second) mutable {
-                     if (obs::SpanLog* log = spans(); log != nullptr) {
-                       log->close(second_span, network_.simulator().now());
-                     }
-                     const sim::Duration lookup = network_.simulator().now() - start;
-                     CacheFlag flag = CacheFlag::Delegation;
-                     if (second) {
-                       if (auto view = extract_dns_cache(second.value());
-                           view && !view.value().is_request) {
-                         for (const auto& e : view.value().entries) {
-                           if (e.hash == hash) flag = e.flag;
-                         }
+        dns::DnsMessage query = dns_cache_query(domain, {hash});
+        query_ap(std::move(query), root,
+                 [this, target = std::move(target), spec, hash, ip, start, root,
+                  handler = std::move(handler)](Result<dns::DnsMessage> second) mutable {
+                   const sim::Duration lookup = network_.simulator().now() - start;
+                   CacheFlag flag = CacheFlag::Delegation;
+                   if (second) {
+                     if (auto view = extract_dns_cache(second.value());
+                         view && !view.value().is_request) {
+                       for (const auto& e : view.value().entries) {
+                         if (e.hash == hash) flag = e.flag;
                        }
                      }
-                     dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,
-                              std::move(handler));
-                   });
+                   }
+                   dispatch(std::move(target), *spec, flag, ip, start, lookup, false, root,
+                            std::move(handler));
+                 });
       });
 }
 
@@ -563,24 +470,28 @@ void ClientRuntime::dns_cache_lookup(const std::string& host,
                                      const std::vector<UrlHash>& hashes,
                                      LookupHandler handler) {
   auto domain = dns::DnsName::parse(host);
+  if (!domain) {
+    handler(make_error<dns::DnsMessage>("bad hostname"), sim::Duration{0});
+    return;
+  }
   const sim::Time start = network_.simulator().now();
-  dns_.query(options_.ap_dns, build_dns_cache_query(domain.value(), hashes),
-             [this, start, handler = std::move(handler)](Result<dns::DnsMessage> r) mutable {
-               handler(std::move(r), network_.simulator().now() - start);
-             });
+  query_ap(dns_cache_query(domain.value(), hashes), {},
+           [this, start, handler = std::move(handler)](Result<dns::DnsMessage> r) mutable {
+             handler(std::move(r), network_.simulator().now() - start);
+           });
 }
 
 void ClientRuntime::regular_dns_lookup(const std::string& host, LookupHandler handler) {
   auto domain = dns::DnsName::parse(host);
-  dns::DnsMessage query;
-  query.header.rd = true;
-  query.questions.push_back(
-      dns::Question{domain.value(), dns::RrType::A, dns::RrClass::In});
+  if (!domain) {
+    handler(make_error<dns::DnsMessage>("bad hostname"), sim::Duration{0});
+    return;
+  }
   const sim::Time start = network_.simulator().now();
-  dns_.query(options_.ap_dns, std::move(query),
-             [this, start, handler = std::move(handler)](Result<dns::DnsMessage> r) mutable {
-               handler(std::move(r), network_.simulator().now() - start);
-             });
+  query_ap(a_query(domain.value()), {},
+           [this, start, handler = std::move(handler)](Result<dns::DnsMessage> r) mutable {
+             handler(std::move(r), network_.simulator().now() - start);
+           });
 }
 
 }  // namespace ape::core

@@ -53,13 +53,8 @@ class ClientRuntime {
     net::Endpoint ap_dns;     // AP's DNS service
     net::IpAddress ap_ip;     // AP's address for HTTP fetches
     bool ape_enabled = true;  // false: every fetch takes the edge path
-    // Client-side cost of building a DNS-Cache query (hashing the URL,
-    // assembling the Additional RR in the managed runtime) — part of the
-    // measured lookup latency, and the reason the paper's lookup (~7.5 ms)
-    // slightly exceeds one WiFi RTT.
-    sim::Duration dns_cache_build_cost{sim::microseconds(2800)};
     // Nullable observability sink ("client.*" fetch counters/latency
-    // histograms, keyed by source).
+    // histograms, keyed by source; the request's spans when tracing).
     obs::Observer* observer = nullptr;
   };
 
@@ -125,36 +120,32 @@ class ClientRuntime {
     std::unordered_map<UrlHash, CacheFlag> flags;
   };
 
-  // A fetch's URL, parsed once: the text labels spans, the parsed form
-  // builds the HTTP request.
-  struct Target {
-    std::string text;
-    http::Url url;
-  };
-
-  void dispatch(Target target, const CacheableSpec& spec, CacheFlag flag,
+  // A fetch's target is its parsed URL, parsed once per fetch.
+  void dispatch(http::Url target, const CacheableSpec& spec, CacheFlag flag,
                 net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                 bool lookup_cached, const obs::TraceContext& root, FetchHandler handler);
-  void fetch_from_ap(Target target, const CacheableSpec& spec, bool delegate,
+  void fetch_from_ap(http::Url target, const CacheableSpec& spec, bool delegate,
                      net::IpAddress edge_ip, sim::Time start, sim::Duration lookup,
                      bool lookup_cached, CacheFlag flag, const obs::TraceContext& root,
                      FetchHandler handler);
-  void fetch_from_edge(Target target, net::IpAddress edge_ip, sim::Time start,
+  // Fetches from the edge at `edge_ip`; a dummy or unknown address is
+  // resolved first (resolve_edge).
+  void fetch_from_edge(http::Url target, net::IpAddress edge_ip, sim::Time start,
                        sim::Duration lookup, bool lookup_cached, CacheFlag flag,
                        const obs::TraceContext& root, FetchHandler handler);
-  // Regular DNS + edge HTTP under an existing trace root (shared by
-  // fetch_via_edge and fetch()'s DNS-Cache-failure fallback, so the
-  // fallback stays inside the request's original trace).
-  void resolve_and_fetch_edge(Target target, sim::Time start, const obs::TraceContext& root,
-                              FetchHandler handler);
+  // Regular DNS for the target's A record, then the edge fetch, under the
+  // request's existing trace root: fetch_via_edge, fetch()'s
+  // DNS-Cache-failure fallback and the dummy-IP re-resolution all go here.
+  // The lookup latency runs from `start` to the answer.
+  void resolve_edge(http::Url target, sim::Time start, bool lookup_cached, CacheFlag flag,
+                    const obs::TraceContext& root, FetchHandler handler);
   void finish(FetchHandler& handler, const obs::TraceContext& root, FetchResult result);
 
-  // Nullable span sink (null when no observer is attached).
-  [[nodiscard]] obs::SpanLog* spans() const;
-
-  [[nodiscard]] dns::DnsMessage build_dns_cache_query(const dns::DnsName& domain,
-                                                      const std::vector<UrlHash>& hashes,
-                                                      const obs::TraceContext& ctx = {}) const;
+  // The client's one DNS hop to its AP.  Under a live `parent` it opens the
+  // "dns.query" span (keyed by the question's name), appends the TYPE=301
+  // RR that carries it, and closes it when `done` runs.
+  void query_ap(dns::DnsMessage query, const obs::TraceContext& parent,
+                dns::DnsClient::QueryHandler done);
 
   APE_SHARD_SHARED net::Network& network_;
   APE_SHARD_SHARED net::TcpTransport& tcp_;

@@ -28,12 +28,12 @@ std::optional<std::vector<UrlHash>> PacmPolicy::select_victims(
   // Causal tracing: the solve runs synchronously inside an insert, so the
   // inserting hop's span is on the ambient stack.  Zero sim-time duration —
   // the span marks *where* on the critical path the solve happened.
+  obs::SpanLog* log = obs::tracing(observer_);
   obs::TraceContext solve_span;
-  if (observer_ != nullptr && observer_->spans_enabled()) {
-    obs::SpanLog& log = observer_->spans();
+  if (log != nullptr) {
     // ape-lint: allow(hot-alloc) -- a span key, in traced runs only
     std::string text = hash_to_string(incoming.key);
-    solve_span = log.open(log.current_context(), "pacm.solve", "pacm", std::move(text), now);
+    solve_span = log->open(log->current_context(), "pacm.solve", "pacm", std::move(text), now);
   }
 
   candidates_.clear();
@@ -73,7 +73,7 @@ std::optional<std::vector<UrlHash>> PacmPolicy::select_victims(
   // always frees at least `bytes_needed`.
   PacmDecision decision =
       solver_.select_evictions(candidates_, incoming.size_bytes, app_frequencies_);
-  if (observer_ != nullptr) observer_->spans().close(solve_span, now);
+  if (log != nullptr) log->close(solve_span, now);
   return std::move(decision.evict);
 }
 

@@ -38,7 +38,6 @@ class DnsClient {
   void set_timeout(sim::Duration timeout) noexcept { timeout_ = timeout; }
   void set_max_attempts(int attempts) noexcept { max_attempts_ = attempts < 1 ? 1 : attempts; }
 
-  [[nodiscard]] std::size_t outstanding() const noexcept { return pending_.size(); }
   [[nodiscard]] std::size_t timeouts() const noexcept { return timeouts_; }
 
  private:

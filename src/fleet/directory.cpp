@@ -197,24 +197,20 @@ DirectoryClient::DirectoryClient(net::Network& network, net::NodeId node, Option
     hot_.epoch_replays = {m, "dir.epoch_replays"};
     hot_.lease_rounds = {m, "dir.lease_rounds"};
   }
-  network_.bind_udp(node_, options_.port,
+  network_.bind_udp(node_, kDirectoryClientPort,
                     [this](const net::Datagram& d) { on_datagram(d); });
   schedule_lease();
 }
 
 DirectoryClient::~DirectoryClient() {
   if (lease_event_ != 0) network_.simulator().cancel(lease_event_);
-  if (auto* log = spans(); log != nullptr) {
+  if (auto* log = obs::tracing(observer_); log != nullptr) {
     log->close(lease_span_, network_.simulator().now());
   }
   for (auto& [seq, pending] : inflight_) {
     if (pending.timeout != 0) network_.simulator().cancel(pending.timeout);
   }
-  network_.unbind_udp(node_, options_.port);
-}
-
-obs::SpanLog* DirectoryClient::spans() const {
-  return observer_ != nullptr && observer_->spans_enabled() ? &observer_->spans() : nullptr;
+  network_.unbind_udp(node_, kDirectoryClientPort);
 }
 
 void DirectoryClient::attach(core::ApRuntime& ap) {
@@ -239,7 +235,7 @@ void DirectoryClient::attach(core::ApRuntime& ap) {
 void DirectoryClient::publish(UrlHash key) {
   holdings_.insert(key);
   hot_.publishes.add();
-  if (auto* log = spans(); log != nullptr) {
+  if (auto* log = obs::tracing(observer_); log != nullptr) {
     // Zero-duration marker under whatever request is being served (the
     // insert happens synchronously inside it): the advertise itself is
     // fire-and-forget wire traffic, but traced runs can see *when* the
@@ -253,7 +249,7 @@ void DirectoryClient::publish(UrlHash key) {
   }
   std::string line = "PUBLISH " + std::to_string(options_.ap_id) + " ";
   append_key(line, key);
-  line += " " + std::to_string(options_.publish_ttl_s);
+  line += " " + std::to_string(kPublishTtlSeconds);
   send_to_shard(shard_of(key, options_.shards.size()), line);
 }
 
@@ -266,7 +262,8 @@ void DirectoryClient::retract(UrlHash key) {
 }
 
 void DirectoryClient::send_to_shard(std::size_t shard, const std::string& text) {
-  network_.send_datagram(node_, options_.port, options_.shards[shard], to_payload(text));
+  network_.send_datagram(node_, kDirectoryClientPort, options_.shards[shard],
+                         to_payload(text));
 }
 
 void DirectoryClient::lookup_peer(UrlHash key, const obs::TraceContext& parent,
@@ -274,7 +271,7 @@ void DirectoryClient::lookup_peer(UrlHash key, const obs::TraceContext& parent,
   const sim::Time now = network_.simulator().now();
   if (auto it = answers_.find(key); it != answers_.end()) {
     if (it->second.expires > now) {
-      // Bounded staleness: reuse within lookup_ttl, no wire traffic.  The
+      // Bounded staleness: reuse within kLookupTtl, no wire traffic.  The
       // answer may point at an AP that evicted since — the relay's 404 path
       // (note_stale) absorbs that.
       hot_.answer_reuse.add();
@@ -286,17 +283,17 @@ void DirectoryClient::lookup_peer(UrlHash key, const obs::TraceContext& parent,
 
   hot_.lookups.add();
   const std::uint64_t seq = next_seq_++;
-  obs::TraceContext span;
-  if (auto* log = spans(); log != nullptr) {
+  if (auto* log = obs::tracing(observer_); log != nullptr) {
     // ape-lint: allow(hot-alloc) -- a span key, in traced runs only
     std::string text = hash_to_string(key);
-    span = log->open(parent, "dir.lookup", "dir", std::move(text), now);
+    const obs::TraceContext span =
+        log->open(parent, "dir.lookup", "dir", std::move(text), now);
+    done = obs::close_on_call(log, span, network_.simulator(), std::move(done));
   }
-  Pending pending{key, std::move(done), span, 0};
+  Pending pending{key, std::move(done), 0};
   pending.timeout =
       network_.simulator().schedule_in(
-          options_.lookup_timeout, [this, seq] { on_timeout(seq); },
-          APE_EVT("ap.dir.lookup_timeout"));
+          kLookupTimeout, [this, seq] { on_timeout(seq); }, APE_EVT("ap.dir.lookup_timeout"));
   inflight_.emplace(seq, std::move(pending));
   std::string line =
       "LOOKUP " + std::to_string(seq) + " " + std::to_string(options_.ap_id) + " ";
@@ -316,9 +313,8 @@ void DirectoryClient::on_timeout(std::uint64_t seq) {
   inflight_.erase(it);
   hot_.lookup_timeouts.add();
   // Cache the non-answer too: while a shard is unreachable, each key pays
-  // the timeout once per lookup_ttl instead of once per miss.
-  answers_[pending.key] = {std::nullopt, network_.simulator().now() + options_.lookup_ttl};
-  if (auto* log = spans(); log != nullptr) log->close(pending.span, network_.simulator().now());
+  // the timeout once per kLookupTtl instead of once per miss.
+  answers_[pending.key] = {std::nullopt, network_.simulator().now() + kLookupTtl};
   pending.handler(std::nullopt);
 }
 
@@ -328,13 +324,12 @@ void DirectoryClient::resolve(std::uint64_t seq, std::optional<core::PeerLocatio
   Pending pending = std::move(it->second);
   inflight_.erase(it);
   if (pending.timeout != 0) network_.simulator().cancel(pending.timeout);
-  answers_[pending.key] = {location, network_.simulator().now() + options_.lookup_ttl};
+  answers_[pending.key] = {location, network_.simulator().now() + kLookupTtl};
   if (location.has_value()) {
     hot_.lookup_hits.add();
   } else {
     hot_.lookup_misses.add();
   }
-  if (auto* log = spans(); log != nullptr) log->close(pending.span, network_.simulator().now());
   pending.handler(location);
 }
 
@@ -367,7 +362,7 @@ void DirectoryClient::on_datagram(const net::Datagram& dgram) {
     resolve(seq, std::nullopt);
   } else if (lease_acks_outstanding_ > 0) {  // LEASEACK
     if (--lease_acks_outstanding_ == 0) {
-      if (auto* log = spans(); log != nullptr) {
+      if (auto* log = obs::tracing(observer_); log != nullptr) {
         log->close(lease_span_, network_.simulator().now());
       }
       lease_span_ = obs::TraceContext{};
@@ -387,7 +382,7 @@ void DirectoryClient::check_epoch(std::size_t shard, std::uint64_t epoch) {
     if (shard_of(key, options_.shards.size()) != shard) continue;
     std::string line = "PUBLISH " + std::to_string(options_.ap_id) + " ";
     append_key(line, key);
-    line += " " + std::to_string(options_.publish_ttl_s);
+    line += " " + std::to_string(kPublishTtlSeconds);
     send_to_shard(shard, line);
   }
 }
@@ -402,7 +397,7 @@ void DirectoryClient::schedule_lease() {
 
 void DirectoryClient::renew_leases() {
   hot_.lease_rounds.add();
-  auto* log = spans();
+  auto* log = obs::tracing(observer_);
   if (log != nullptr) {
     // One root span per round, held open until the last shard LEASEACKs;
     // a round that outlives the client is safety-closed in the dtor.
@@ -422,7 +417,7 @@ void DirectoryClient::renew_leases() {
     ++lease_acks_outstanding_;
     send_to_shard(shard, "LEASE " + std::to_string(next_seq_++) + " " +
                              std::to_string(options_.ap_id) + " " +
-                             std::to_string(options_.publish_ttl_s) + keys);
+                             std::to_string(kPublishTtlSeconds) + keys);
   }
   if (log != nullptr && lease_acks_outstanding_ == 0) {
     // Nothing to renew: the round is already over.

@@ -47,6 +47,17 @@ namespace ape::fleet {
 inline constexpr net::Port kDirectoryShardPort = 5400;
 inline constexpr net::Port kDirectoryClientPort = 5401;
 
+// Bounded staleness: how long a FOUND/MISS answer may be reused without
+// consulting the shard again.  Larger = fewer directory round trips, more
+// stale redirects.
+inline constexpr sim::Duration kLookupTtl = sim::seconds(2.0);
+// A lookup whose reply never arrives (shard crashed / link down) resolves
+// to "no peer" after this long; the miss path then proceeds to the edge.
+// Covers the LAN RTT plus shard service time with margin.
+inline constexpr sim::Duration kLookupTimeout = sim::milliseconds(10.0);
+// Lease length granted by PUBLISH/LEASE, in seconds.
+inline constexpr std::uint32_t kPublishTtlSeconds = 60;
+
 // Stable key -> shard placement (FNV-1a over the key's hex text, the form
 // the wire carries); every client and every shard must agree on
 // `shard_count`.
@@ -110,7 +121,7 @@ class DirectoryShard {
 // Per-AP directory stub: implements the runtime's PeerResolver by speaking
 // the shard protocol, mirrors the AP's cache membership (insert listener ->
 // PUBLISH, removal listener -> RETRACT), renews leases, and caches lookup
-// answers for `lookup_ttl` — the bounded staleness the peer-probe stage is
+// answers for kLookupTtl — the bounded staleness the peer-probe stage is
 // designed to absorb.
 class DirectoryClient final : public core::PeerResolver {
   APE_SHARD_CONTEXT(ap);
@@ -118,18 +129,8 @@ class DirectoryClient final : public core::PeerResolver {
  public:
   struct Options {
     std::uint32_t ap_id = 0;
-    net::Port port = kDirectoryClientPort;
     std::vector<net::Endpoint> shards;               // shard_index -> service endpoint
     std::map<std::uint32_t, net::IpAddress> roster;  // ap_id -> AP HTTP address
-    // Bounded staleness: how long a FOUND/MISS answer may be reused without
-    // consulting the shard again.  Larger = fewer directory round trips,
-    // more stale redirects.
-    sim::Duration lookup_ttl = sim::seconds(2.0);
-    // A lookup whose reply never arrives (shard crashed / link down)
-    // resolves to "no peer" after this long; the miss path then proceeds to
-    // the edge.  Covers the LAN RTT plus shard service time with margin.
-    sim::Duration lookup_timeout = sim::milliseconds(10.0);
-    std::uint32_t publish_ttl_s = 60;  // lease length granted by PUBLISH/LEASE
     sim::Duration lease_interval = sim::seconds(20.0);
     obs::Observer* observer = nullptr;
   };
@@ -161,8 +162,7 @@ class DirectoryClient final : public core::PeerResolver {
  private:
   struct Pending {
     UrlHash key = 0;
-    LookupHandler handler;
-    obs::TraceContext span;
+    LookupHandler handler;  // closes the dir.lookup span when called
     sim::Simulator::EventId timeout = 0;
   };
   struct CachedAnswer {
@@ -181,7 +181,6 @@ class DirectoryClient final : public core::PeerResolver {
   void check_epoch(std::size_t shard, std::uint64_t epoch);
   void schedule_lease();
   void renew_leases();
-  [[nodiscard]] obs::SpanLog* spans() const;
 
   APE_SHARD_SHARED net::Network& network_;
   APE_SHARD_LOCAL(ap) net::NodeId node_;

@@ -1,18 +1,18 @@
 // Edge cache server.
 //
 // Per the paper's evaluation assumption (Sec. V-A) the edge has "ample"
-// capacity: objects preloaded into (or fetched through) it are never
-// evicted.  Client-facing requests are warm cache hits and cost pure
-// network time (Fig. 11c's ~30 ms edge retrieval).  Cache-fill pulls —
-// requests carrying the X-Origin-Pull header, issued by the APE-CACHE
-// delegation path and the Wi-Cache prefetcher — additionally pay the
-// object's configured backend latency (the paper's per-object "retrieval
-// latency" of 20-50 ms), modeling the origin fetch behind the edge that a
-// cold copy requires.  On a true miss with an upstream origin configured,
-// the edge fetches, stores, and responds (the Fig. 1 flow).
+// capacity: objects preloaded into it are never evicted.  Client-facing
+// requests are warm cache hits and cost pure network time (Fig. 11c's
+// ~30 ms edge retrieval).  Cache-fill pulls — requests carrying the
+// X-Origin-Pull header, issued by the APE-CACHE delegation path and the
+// Wi-Cache prefetcher — additionally pay the object's configured backend
+// latency (the paper's per-object "retrieval latency" of 20-50 ms),
+// modeling the origin fetch behind the edge that a cold copy requires.  An
+// object the edge does not host is a 404.
 #pragma once
 
-#include "http/origin_server.hpp"
+#include "http/catalog.hpp"
+#include "http/endpoint.hpp"
 #include "obs/observer.hpp"
 
 namespace ape::http {
@@ -24,10 +24,8 @@ class EdgeCacheServer {
 
   // Preload: the object is served as a HIT from the start.
   void host(ObjectSpec spec);
-  // Optional origin for misses.
-  void set_upstream(net::Endpoint origin) noexcept { upstream_ = origin; }
-  // Nullable span sink: edge.serve / origin.serve / http.fetch spans are
-  // parented under the X-Ape-Trace context of the inbound request.
+  // Nullable span sink: edge.serve / origin.serve spans are parented under
+  // the X-Ape-Trace context of the inbound request.
   void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
 
   [[nodiscard]] const ObjectCatalog& catalog() const noexcept { return catalog_; }
@@ -37,12 +35,9 @@ class EdgeCacheServer {
 
  private:
   void handle(const HttpRequest& request, HttpServer::Responder respond);
-  [[nodiscard]] obs::SpanLog* spans() const;
 
   HttpServer server_;
-  HttpClient upstream_client_;
   ObjectCatalog catalog_;
-  std::optional<net::Endpoint> upstream_;
   sim::Simulator& sim_;
   obs::Observer* observer_ = nullptr;
   std::size_t hits_ = 0;

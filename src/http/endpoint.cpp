@@ -13,7 +13,7 @@ HttpServer::HttpServer(net::TcpTransport& tcp, net::NodeId node, net::Port port,
       cost_(cost),
       serve_kind_(APE_EVT("net.http.serve")) {
   tcp_.listen(node_, port_,
-              [this](const net::TcpMessage& msg, net::Endpoint peer, net::TcpResponder respond) {
+              [this](const net::TcpMessage& msg, net::Endpoint, net::TcpResponder respond) {
                 auto request = HttpRequest::from_tcp(msg);
                 if (!request) {
                   respond(make_status_response(400, request.error().message).to_tcp());
@@ -22,12 +22,18 @@ HttpServer::HttpServer(net::TcpTransport& tcp, net::NodeId node, net::Port port,
                 // Charge CPU before the handler runs; the response is free to
                 // arrive asynchronously afterwards.
                 cpu_.submit(cost_.for_bytes(msg.wire_size()),
-                            [this, req = std::move(request.value()), peer,
+                            [this, req = std::move(request.value()),
                              respond = std::move(respond)]() mutable {
-                              dispatch(req, peer, [respond = std::move(respond)](
-                                                      HttpResponse resp) {
+                              ++requests_;
+                              Responder reply = [respond = std::move(respond)](
+                                                    HttpResponse resp) {
                                 respond(resp.to_tcp());
-                              });
+                              };
+                              if (fallback_) {
+                                fallback_(req, std::move(reply));
+                              } else {
+                                reply(make_status_response(404, "no route"));
+                              }
                             },
                             serve_kind_);
               });
@@ -37,39 +43,29 @@ HttpServer::~HttpServer() {
   tcp_.stop_listening(node_, port_);
 }
 
-void HttpServer::route(std::string path_prefix, Handler handler) {
-  routes_.emplace_back(std::move(path_prefix), std::move(handler));
-}
-
 void HttpServer::set_fallback(Handler handler) {
   fallback_ = std::move(handler);
 }
 
-void HttpServer::dispatch(const HttpRequest& request, net::Endpoint peer, Responder respond) {
-  ++requests_;
-  const Handler* best = nullptr;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, handler] : routes_) {
-    if (request.url.path.starts_with(prefix) && prefix.size() >= best_len) {
-      best = &handler;
-      best_len = prefix.size();
-    }
-  }
-  if (best != nullptr) {
-    (*best)(request, peer, std::move(respond));
-  } else if (fallback_) {
-    fallback_(request, peer, std::move(respond));
-  } else {
-    respond(make_status_response(404, "no route"));
-  }
-}
+HttpClient::HttpClient(net::TcpTransport& tcp, net::NodeId node, obs::Observer* observer,
+                       std::string component)
+    : tcp_(tcp), node_(node), observer_(observer), component_(std::move(component)) {}
 
-HttpClient::HttpClient(net::TcpTransport& tcp, net::NodeId node) : tcp_(tcp), node_(node) {}
-
-void HttpClient::fetch(net::Endpoint server, HttpRequest request, FetchHandler handler) {
+void HttpClient::fetch(net::Endpoint server, HttpRequest request, FetchHandler handler,
+                       const obs::TraceContext& parent) {
   sim::Simulator& clock = tcp_.network().simulator();
   const sim::Time started = clock.now();
 
+  obs::SpanLog* log = parent.valid() ? obs::tracing(observer_) : nullptr;
+  obs::TraceContext span;
+  if (log != nullptr) {
+    span = log->open(parent, "http.fetch", component_, request.url.base(), started);
+    if (span.valid()) {
+      set_trace_context_header(request.headers, obs::encode_trace_context(span));
+    }
+    handler = obs::close_on_call(log, span, clock, std::move(handler));
+  }
+  obs::ScopedTraceContext ambient(log, span);  // -> net.connect
   tcp_.connect(node_, server,
                [&clock, started, req = std::move(request), handler = std::move(handler)](
                    Result<net::TcpConnectionPtr> conn) mutable {

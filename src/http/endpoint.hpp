@@ -7,10 +7,10 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "http/message.hpp"
 #include "net/tcp.hpp"
+#include "obs/observer.hpp"
 #include "sim/service_queue.hpp"
 
 namespace ape::http {
@@ -28,7 +28,7 @@ struct ServiceCost {
 class HttpServer {
  public:
   using Responder = std::function<void(HttpResponse)>;
-  using Handler = std::function<void(const HttpRequest&, net::Endpoint peer, Responder)>;
+  using Handler = std::function<void(const HttpRequest&, Responder)>;
 
   HttpServer(net::TcpTransport& tcp, net::NodeId node, net::Port port, sim::ServiceQueue& cpu,
              ServiceCost cost = {});
@@ -37,8 +37,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  // Longest-prefix route on the request path; later routes win ties.
-  void route(std::string path_prefix, Handler handler);
+  // Every request goes to `handler`; without one the server answers 404.
   void set_fallback(Handler handler);
 
   // Profiling tag for the CPU-charge event in front of dispatch; owning
@@ -51,15 +50,12 @@ class HttpServer {
   [[nodiscard]] std::size_t requests_served() const noexcept { return requests_; }
 
  private:
-  void dispatch(const HttpRequest& request, net::Endpoint peer, Responder respond);
-
   net::TcpTransport& tcp_;
   net::NodeId node_;
   net::Port port_;
   sim::ServiceQueue& cpu_;
   ServiceCost cost_;
   sim::KindId serve_kind_;
-  std::vector<std::pair<std::string, Handler>> routes_;
   Handler fallback_;
   std::size_t requests_ = 0;
 };
@@ -71,19 +67,32 @@ struct FetchTiming {
 
 class HttpClient {
  public:
-  HttpClient(net::TcpTransport& tcp, net::NodeId node);
+  // `observer` (nullable) and `component` label the http.fetch spans this
+  // endpoint records for its owner ("client", "ap").
+  HttpClient(net::TcpTransport& tcp, net::NodeId node, obs::Observer* observer = nullptr,
+             std::string component = "");
 
   using FetchHandler = std::function<void(Result<HttpResponse>, FetchTiming)>;
 
   // One-shot fetch: connect, send, receive, close — matching the paper's
   // per-object retrieval measurement (TCP initiation to first byte read).
-  void fetch(net::Endpoint server, HttpRequest request, FetchHandler handler);
+  //
+  // Under a live `parent` (and a tracing observer) the fetch is one hop of
+  // the request's trace (DESIGN.md §5f): it opens an "http.fetch" span
+  // keyed by the request's base URL, stamps it into X-Ape-Trace (replacing
+  // any inbound value, so the server parents under *this* hop), parents
+  // the TCP handshake's "net.connect" under it, and closes it just before
+  // `handler` runs.
+  void fetch(net::Endpoint server, HttpRequest request, FetchHandler handler,
+             const obs::TraceContext& parent = {});
 
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
 
  private:
   net::TcpTransport& tcp_;
   net::NodeId node_;
+  obs::Observer* observer_;
+  std::string component_;
 };
 
 }  // namespace ape::http

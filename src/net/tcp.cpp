@@ -22,11 +22,12 @@ void TcpTransport::connect(NodeId client, Endpoint server, ConnectHandler on_con
   auto& sim = network_.simulator();
 
   // Span over the handshake (or its failure), parented on whatever fetch
-  // pushed the ambient context before initiating this connect.
-  obs::TraceContext connect_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
-    connect_span = log->open(log->current_context(), "net.connect", "net",
-                             server.ip.to_string(), sim.now());
+  // pushed the ambient context before initiating this connect; the
+  // callback closes it, whichever branch below fires.
+  if (obs::SpanLog* log = obs::tracing(observer_); log != nullptr) {
+    const obs::TraceContext span = log->open(log->current_context(), "net.connect", "net",
+                                             server.ip.to_string(), sim.now());
+    on_connected = obs::close_on_call(log, span, sim, std::move(on_connected));
   }
 
   const auto server_node = network_.owner_of(server.ip);
@@ -34,10 +35,7 @@ void TcpTransport::connect(NodeId client, Endpoint server, ConnectHandler on_con
     // Unknown destination (e.g. the APE-CACHE dummy IP): SYNs vanish, the
     // client gives up after its connect timeout.
     ++counters_.connects_timed_out;
-    sim.schedule_in(connect_timeout_, [this, connect_span, cb = std::move(on_connected)] {
-      if (obs::SpanLog* log = spans(); log != nullptr) {
-        log->close(connect_span, network_.simulator().now());
-      }
+    sim.schedule_in(connect_timeout_, [cb = std::move(on_connected)] {
       cb(make_error<TcpConnectionPtr>("connect timeout: unroutable address"));
     }, APE_EVT("net.tcp.connect_fail"));
     return;
@@ -46,10 +44,7 @@ void TcpTransport::connect(NodeId client, Endpoint server, ConnectHandler on_con
   const auto path = network_.topology().path(client, *server_node);
   if (!path) {
     ++counters_.connects_timed_out;
-    sim.schedule_in(connect_timeout_, [this, connect_span, cb = std::move(on_connected)] {
-      if (obs::SpanLog* log = spans(); log != nullptr) {
-        log->close(connect_span, network_.simulator().now());
-      }
+    sim.schedule_in(connect_timeout_, [cb = std::move(on_connected)] {
       cb(make_error<TcpConnectionPtr>("connect timeout: network partition"));
     }, APE_EVT("net.tcp.connect_fail"));
     return;
@@ -59,10 +54,7 @@ void TcpTransport::connect(NodeId client, Endpoint server, ConnectHandler on_con
   if (!listeners_.contains(listen_key(*server_node, server.port))) {
     // RST comes back after one round trip.
     ++counters_.connects_refused;
-    sim.schedule_in(rtt, [this, connect_span, cb = std::move(on_connected)] {
-      if (obs::SpanLog* log = spans(); log != nullptr) {
-        log->close(connect_span, network_.simulator().now());
-      }
+    sim.schedule_in(rtt, [cb = std::move(on_connected)] {
       cb(make_error<TcpConnectionPtr>("connection refused"));
     }, APE_EVT("net.tcp.connect_fail"));
     return;
@@ -70,11 +62,7 @@ void TcpTransport::connect(NodeId client, Endpoint server, ConnectHandler on_con
 
   // SYN / SYN-ACK: connection usable one RTT after initiation.
   const NodeId server_id = *server_node;
-  sim.schedule_in(rtt, [this, client, server_id, server, connect_span,
-                        cb = std::move(on_connected)] {
-    if (obs::SpanLog* log = spans(); log != nullptr) {
-      log->close(connect_span, network_.simulator().now());
-    }
+  sim.schedule_in(rtt, [this, client, server_id, server, cb = std::move(on_connected)] {
     ++counters_.connects_established;
     ++server_conn_count_[server_id];
     auto conn = TcpConnectionPtr(

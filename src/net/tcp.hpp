@@ -123,9 +123,6 @@ class TcpTransport {
   void route_request(TcpConnection& conn, TcpMessage request,
                      TcpConnection::ResponseHandler on_response);
   void on_connection_closed(const TcpConnection& conn);
-  [[nodiscard]] obs::SpanLog* spans() const {
-    return observer_ == nullptr ? nullptr : &observer_->spans();
-  }
 
   [[nodiscard]] std::uint64_t listen_key(NodeId node, Port port) const noexcept {
     return (std::uint64_t{node.value} << 16) | port;

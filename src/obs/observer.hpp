@@ -31,9 +31,8 @@ class Observer {
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  // Causal request spans (DESIGN.md §5f).  Default-disabled: components
-  // must check spans_enabled() before injecting trace context into wire
-  // messages, so untraced runs keep byte-identical simulated traffic.
+  // Causal request spans (DESIGN.md §5f).  Default-disabled; components
+  // reach the log through obs::tracing() below, never directly.
   [[nodiscard]] SpanLog& spans() noexcept { return spans_; }
   [[nodiscard]] const SpanLog& spans() const noexcept { return spans_; }
   [[nodiscard]] bool spans_enabled() const noexcept { return spans_.enabled(); }
@@ -54,5 +53,13 @@ class Observer {
   Timeline timeline_;
   bool wallclock_ = false;
 };
+
+// The one tracing gate: the span log when an observer is attached *and*
+// spans are enabled, null otherwise.  Every hop asks it before building a
+// span key or stamping trace context into a wire message, so untraced runs
+// build no keys and keep byte-identical simulated traffic.
+[[nodiscard]] inline SpanLog* tracing(Observer* observer) noexcept {
+  return observer != nullptr && observer->spans_enabled() ? &observer->spans() : nullptr;
+}
 
 }  // namespace ape::obs

@@ -23,10 +23,12 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace ape::obs {
@@ -97,6 +99,20 @@ class ScopedTraceContext {
  private:
   SpanLog* log_;
 };
+
+// Wraps the callback `fn` (a std::function) so that its first call closes
+// `span` at clock.now(), just before `fn` runs — the one way a hop ends the
+// span it opened around asynchronous work.  A null log or span returns `fn`
+// unchanged, so untraced runs pay no wrapper.
+template <typename Fn>
+[[nodiscard]] Fn close_on_call(SpanLog* log, const TraceContext& span,
+                               const sim::Simulator& clock, Fn fn) {
+  if (log == nullptr || !span.valid()) return fn;
+  return [log, span, &clock, fn = std::move(fn)](auto&&... args) mutable {
+    log->close(span, clock.now());  // first close wins; later calls no-op
+    fn(std::forward<decltype(args)>(args)...);
+  };
+}
 
 // --- analysis -------------------------------------------------------------
 

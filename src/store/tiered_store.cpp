@@ -28,14 +28,15 @@ void TieredStore::fetch_flash(UrlHash key, sim::Time now,
                               std::function<void(std::optional<cache::CacheEntry>)> done) {
   // Capture the ambient context synchronously — by the time the device read
   // completes the caller's push/pop scope is long gone.
+  obs::SpanLog* log = obs::tracing(observer_);
   obs::TraceContext read_span;
-  if (obs::SpanLog* log = spans(); log != nullptr) {
+  if (log != nullptr) {
     read_span =
         log->open(log->current_context(), "ap.flash.read", "store", hash_to_string(key), now);
   }
-  flash_.fetch(key, now, [this, read_span,
+  flash_.fetch(key, now, [this, log, read_span,
                           done = std::move(done)](std::optional<ObjectMeta> meta) mutable {
-    if (obs::SpanLog* log = spans(); log != nullptr) log->close(read_span, sim_.now());
+    if (log != nullptr) log->close(read_span, sim_.now());
     if (!meta.has_value()) {
       ++flash_misses_;
       done(std::nullopt);
@@ -48,7 +49,7 @@ void TieredStore::fetch_flash(UrlHash key, sim::Time now,
     // then the flash copy stays put and we serve from flash — no thrash.
     cache::CacheStore::InsertOutcome outcome;
     {
-      obs::ScopedTraceContext ambient(spans(), read_span);  // -> pacm.solve
+      obs::ScopedTraceContext ambient(log, read_span);  // -> pacm.solve
       outcome = ram_.insert(entry, sim_.now());
     }
     if (outcome == cache::CacheStore::InsertOutcome::Inserted) {

@@ -75,9 +75,6 @@ class TieredStore {
 
  private:
   void on_ram_removal(const cache::CacheEntry& entry, RemovalCause cause);
-  [[nodiscard]] obs::SpanLog* spans() const {
-    return observer_ == nullptr ? nullptr : &observer_->spans();
-  }
 
   sim::Simulator& sim_;
   cache::CacheStore& ram_;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/client_runtime.hpp"
-#include "http/origin_server.hpp"
+#include "http/catalog.hpp"
 #include "sim/time.hpp"
 
 namespace ape::workload {

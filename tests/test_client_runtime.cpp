@@ -2,6 +2,8 @@
 // standalone vs piggybacked lookup, and fallback on stale flags.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/url_hash.hpp"
 #include "testbed/testbed.hpp"
 
@@ -193,6 +195,44 @@ TEST_F(ClientFixture, BadUrlReportsError) {
   const auto result = fetch("not a url at all");
   EXPECT_FALSE(result.success);
   EXPECT_FALSE(result.error.empty());
+}
+
+// "a..b" is a host Url::parse accepts and DnsName::parse rejects: each
+// entry point that resolves it reports an error instead of throwing.
+TEST_F(ClientFixture, StandaloneFetchRejectsBadHostname) {
+  build(System::ApeCache);
+  CacheableSpec spec;
+  spec.id = "http://a..b/x";
+  spec.app = app.id;
+  client->runtime->register_cacheable(spec);
+  std::optional<ClientRuntime::FetchResult> result;
+  ASSERT_NO_THROW(client->runtime->fetch_standalone(
+      "http://a..b/x", [&result](ClientRuntime::FetchResult r) { result = std::move(r); }));
+  bed->simulator().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->success);
+  EXPECT_EQ(result->error, "bad hostname");
+}
+
+TEST_F(ClientFixture, DnsCacheLookupRejectsBadHostname) {
+  build(System::ApeCache);
+  std::optional<bool> ok;
+  ASSERT_NO_THROW(client->runtime->dns_cache_lookup(
+      "a..b", {hash_url("http://a..b/x")},
+      [&ok](Result<dns::DnsMessage> r, sim::Duration) { ok = r.ok(); }));
+  bed->simulator().run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_FALSE(*ok);
+}
+
+TEST_F(ClientFixture, RegularDnsLookupRejectsBadHostname) {
+  build(System::ApeCache);
+  std::optional<bool> ok;
+  ASSERT_NO_THROW(client->runtime->regular_dns_lookup(
+      "a..b", [&ok](Result<dns::DnsMessage> r, sim::Duration) { ok = r.ok(); }));
+  bed->simulator().run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_FALSE(*ok);
 }
 
 TEST_F(ClientFixture, SourceNamesAreStable) {

@@ -5,11 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "http/catalog.hpp"
 #include "http/edge_server.hpp"
 #include "http/endpoint.hpp"
 #include "http/message.hpp"
-#include "http/origin_server.hpp"
 #include "http/url.hpp"
+#include "obs/observer.hpp"
 
 namespace ape::http {
 namespace {
@@ -223,24 +224,19 @@ struct HttpFixture : ::testing::Test {
   net::Topology topo;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::TcpTransport> tcp;
-  net::NodeId client{}, server{}, origin{};
+  net::NodeId client{}, server{};
   net::IpAddress server_ip = net::IpAddress::from_octets(10, 0, 0, 2);
-  net::IpAddress origin_ip = net::IpAddress::from_octets(10, 0, 0, 3);
-  std::unique_ptr<sim::ServiceQueue> server_cpu, origin_cpu;
+  std::unique_ptr<sim::ServiceQueue> server_cpu;
 
   void SetUp() override {
     client = topo.add_node("client");
     server = topo.add_node("server");
-    origin = topo.add_node("origin");
     topo.add_link(client, server, net::LinkSpec{sim::milliseconds(5), 1e9});
-    topo.add_link(server, origin, net::LinkSpec{sim::milliseconds(20), 1e9});
     net = std::make_unique<net::Network>(sim, topo);
     net->assign_ip(client, net::IpAddress::from_octets(10, 0, 0, 1));
     net->assign_ip(server, server_ip);
-    net->assign_ip(origin, origin_ip);
     tcp = std::make_unique<net::TcpTransport>(*net);
     server_cpu = std::make_unique<sim::ServiceQueue>(sim, 2);
-    origin_cpu = std::make_unique<sim::ServiceQueue>(sim, 2);
   }
 
   Result<HttpResponse> fetch(HttpClient& http, const std::string& url,
@@ -262,7 +258,7 @@ struct HttpFixture : ::testing::Test {
 // an exception out of the simulator.
 TEST_F(HttpFixture, BadSimBodyIs400AtServerAndErrorAtClient) {
   HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
-  srv.set_fallback([](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
+  srv.set_fallback([](const HttpRequest&, HttpServer::Responder r) {
     r(make_status_response(200));
   });
   Result<net::TcpMessage> raw = make_error<net::TcpMessage>("not called");
@@ -296,24 +292,11 @@ TEST_F(HttpFixture, BadSimBodyIs400AtServerAndErrorAtClient) {
   EXPECT_FALSE(fetched.ok());
 }
 
-TEST_F(HttpFixture, ServerRoutesByLongestPrefix) {
-  HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
-  srv.route("/api", [](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
-    r(make_status_response(200, "api"));
-  });
-  srv.route("/api/v2", [](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
-    r(make_status_response(200, "v2"));
-  });
-  HttpClient http(*tcp, client);
-  EXPECT_EQ(fetch(http, "http://s/api/v2/obj").value().body, "v2");
-  EXPECT_EQ(fetch(http, "http://s/api/other").value().body, "api");
-}
-
 TEST_F(HttpFixture, FallbackAndNoRoute) {
   HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
   HttpClient http(*tcp, client);
   EXPECT_EQ(fetch(http, "http://s/missing").value().status, 404);
-  srv.set_fallback([](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
+  srv.set_fallback([](const HttpRequest&, HttpServer::Responder r) {
     r(make_status_response(200, "fallback"));
   });
   EXPECT_EQ(fetch(http, "http://s/missing").value().body, "fallback");
@@ -321,7 +304,7 @@ TEST_F(HttpFixture, FallbackAndNoRoute) {
 
 TEST_F(HttpFixture, FetchTimingMeasuresConnectAndFirstByte) {
   HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
-  srv.set_fallback([](const HttpRequest&, net::Endpoint, HttpServer::Responder r) {
+  srv.set_fallback([](const HttpRequest&, HttpServer::Responder r) {
     r(make_status_response(200));
   });
   HttpClient http(*tcp, client);
@@ -333,47 +316,31 @@ TEST_F(HttpFixture, FetchTimingMeasuresConnectAndFirstByte) {
   EXPECT_LT(timing.first_byte, sim::milliseconds(25));
 }
 
-TEST_F(HttpFixture, OriginServesCatalogObjects) {
-  OriginServer origin_srv(*tcp, server, *server_cpu);
-  ObjectSpec spec;
-  spec.base_url = "http://files.example/obj";
-  spec.size_bytes = 48'000;
-  spec.ttl_seconds = 1200;
-  spec.priority = 2;
-  spec.app_id = 7;
-  spec.extra_latency = sim::milliseconds(25);
-  origin_srv.catalog().add(spec);
-
-  HttpClient http(*tcp, client);
-  FetchTiming timing;
-  const auto resp = fetch(http, "http://files.example/obj?token=zzz", &timing);
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().simulated_body_bytes, 48'000u);
-  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-TTL"), "1200");
-  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-Priority"), "2");
-  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-App"), "7");
-  // Extra latency delayed the response.
-  EXPECT_GE(timing.first_byte, sim::milliseconds(45));
-}
-
-TEST_F(HttpFixture, OriginReturns404ForUnknown) {
-  OriginServer origin_srv(*tcp, server, *server_cpu);
-  HttpClient http(*tcp, client);
-  EXPECT_EQ(fetch(http, "http://files.example/nope").value().status, 404);
-}
-
 TEST_F(HttpFixture, EdgeServesPreloadedAsHit) {
   EdgeCacheServer edge(*tcp, server, *server_cpu);
   ObjectSpec spec;
   spec.base_url = "http://app.example/obj";
   spec.size_bytes = 10'000;
+  spec.ttl_seconds = 1200;
+  spec.priority = 2;
+  spec.app_id = 7;
+  spec.extra_latency = sim::milliseconds(25);
   edge.host(spec);
 
   HttpClient http(*tcp, client);
-  const auto resp = fetch(http, "http://app.example/obj");
+  FetchTiming timing;
+  // The query string is not part of the object's identity.
+  const auto resp = fetch(http, "http://app.example/obj?token=zzz", &timing);
   ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.value().simulated_body_bytes, 10'000u);
   EXPECT_EQ(*find_header(resp.value().headers, "X-Cache"), "HIT");
+  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-TTL"), "1200");
+  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-Priority"), "2");
+  EXPECT_EQ(*find_header(resp.value().headers, "X-Object-App"), "7");
   EXPECT_EQ(edge.hits(), 1u);
+  // A plain fetch is a warm hit: only a cache-fill pull (X-Origin-Pull)
+  // pays the object's backend latency.
+  EXPECT_LT(timing.first_byte, sim::milliseconds(25));
 }
 
 TEST_F(HttpFixture, EdgeMissWithoutUpstreamIs404) {
@@ -383,34 +350,84 @@ TEST_F(HttpFixture, EdgeMissWithoutUpstreamIs404) {
   EXPECT_EQ(edge.misses(), 1u);
 }
 
-TEST_F(HttpFixture, EdgeMissFetchesFromOriginAndIngests) {
-  OriginServer origin_srv(*tcp, origin, *origin_cpu);
-  ObjectSpec spec;
-  spec.base_url = "http://app.example/far";
-  spec.size_bytes = 7'000;
-  spec.ttl_seconds = 900;
-  origin_srv.catalog().add(spec);
+// Under a live parent the client endpoint is one traced hop: it opens
+// http.fetch, replaces any inbound X-Ape-Trace with it, parents the TCP
+// handshake under it and closes it before the handler runs.
+TEST_F(HttpFixture, ClientTracesItsHopUnderALiveParent) {
+  obs::Observer observer;
+  observer.spans().set_enabled(true);
+  tcp->set_observer(&observer);
+  std::vector<std::string> seen;
+  HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
+  srv.set_fallback([&seen](const HttpRequest& req, HttpServer::Responder r) {
+    for (const auto& [name, value] : req.headers) {
+      if (name == "X-Ape-Trace") seen.push_back(value);
+    }
+    r(make_status_response(200));
+  });
+  obs::SpanLog& log = observer.spans();
+  const obs::TraceContext root = log.open_root("client.request", "client", "r", sim.now());
 
-  EdgeCacheServer edge(*tcp, server, *server_cpu);
-  edge.set_upstream(net::Endpoint{origin_ip, net::kHttpPort});
+  HttpClient http(*tcp, client, &observer, "client");
+  HttpRequest req;
+  req.url = Url::parse("http://app.example/obj?token=zzz").value();
+  req.headers.emplace_back("X-Ape-Trace", "99-99");  // stale inbound context
+  bool fetch_closed_at_handler = false;
+  http.fetch(net::Endpoint{server_ip, net::kHttpPort}, std::move(req),
+             [&](Result<HttpResponse> r, FetchTiming) {
+               ASSERT_TRUE(r.ok());
+               fetch_closed_at_handler = log.spans().at(1).closed;
+             },
+             root);
+  sim.run();
 
-  HttpClient http(*tcp, client);
-  const auto first = fetch(http, "http://app.example/far");
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value().simulated_body_bytes, 7'000u);
-  EXPECT_EQ(edge.misses(), 1u);
-
-  const auto second = fetch(http, "http://app.example/far");
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(edge.hits(), 1u);  // now served locally
-  EXPECT_NE(edge.catalog().find("http://app.example/far"), nullptr);
+  ASSERT_EQ(log.size(), 3u);
+  const obs::Span& fetch_span = log.spans()[1];
+  const obs::Span& connect_span = log.spans()[2];
+  EXPECT_EQ(fetch_span.name, "http.fetch");
+  EXPECT_EQ(fetch_span.component, "client");
+  EXPECT_EQ(fetch_span.key, "http://app.example/obj");
+  EXPECT_EQ(fetch_span.parent, root.span);
+  EXPECT_EQ(connect_span.name, "net.connect");
+  EXPECT_EQ(connect_span.parent, fetch_span.id);
+  EXPECT_TRUE(connect_span.closed);
+  EXPECT_TRUE(fetch_closed_at_handler);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], obs::encode_trace_context({fetch_span.trace, fetch_span.id}));
 }
 
-TEST_F(HttpFixture, EdgeUpstreamFailurePropagatesAs502) {
-  EdgeCacheServer edge(*tcp, server, *server_cpu);
-  edge.set_upstream(net::Endpoint{origin_ip, net::kHttpPort});  // nothing listens
-  HttpClient http(*tcp, client);
-  EXPECT_EQ(fetch(http, "http://app.example/ghost").value().status, 502);
+// Without a live parent, or with spans off, the request goes out exactly
+// as given and no span is recorded.
+TEST_F(HttpFixture, ClientStaysUntracedWithoutParentOrSpans) {
+  obs::Observer observer;
+  tcp->set_observer(&observer);
+  std::vector<Headers> seen;
+  HttpServer srv(*tcp, server, net::kHttpPort, *server_cpu);
+  srv.set_fallback([&seen](const HttpRequest& req, HttpServer::Responder r) {
+    seen.push_back(req.headers);
+    r(make_status_response(200));
+  });
+  HttpClient http(*tcp, client, &observer, "client");
+  const auto send = [&](const obs::TraceContext& parent) {
+    HttpRequest req;
+    req.url = Url::parse("http://app.example/obj").value();
+    req.headers.emplace_back("X-Ape-App", "3");
+    http.fetch(net::Endpoint{server_ip, net::kHttpPort}, std::move(req),
+               [](Result<HttpResponse> r, FetchTiming) { EXPECT_TRUE(r.ok()); }, parent);
+    sim.run();
+  };
+
+  send(obs::TraceContext{7, 7});  // spans off: even a well-formed parent is inert
+  observer.spans().set_enabled(true);
+  send(obs::TraceContext{});  // spans on, null parent
+
+  EXPECT_EQ(observer.spans().size(), 0u);
+  ASSERT_EQ(seen.size(), 2u);
+  for (const Headers& headers : seen) {
+    EXPECT_EQ(find_trace_context_header(headers), nullptr);
+    ASSERT_NE(find_header(headers, "X-Ape-App"), nullptr);
+    EXPECT_EQ(*find_header(headers, "X-Ape-App"), "3");
+  }
 }
 
 TEST_F(HttpFixture, ServiceCostScalesWithBytes) {

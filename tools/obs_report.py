@@ -14,7 +14,7 @@ lanes and the tier-1 *_smoke tests); without it the section's report
 follows.
 
 Usage:
-  tools/obs_report.py trace [--validate] trace.json
+  tools/obs_report.py trace [--validate] [--expect JSON] trace.json
   tools/obs_report.py timeline [--validate] [--expect JSON] timeline.json
   tools/obs_report.py mrc [--validate] mrc.json
   tools/obs_report.py profile [--validate] [--top N] profile.json
@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
 SCHEMA = "ape.obs.v1"
@@ -51,6 +51,15 @@ def load(path: str, section: str) -> dict:
     return doc
 
 
+def load_expectations(path: str) -> tuple[dict, list[str]]:
+    """Reads an --expect file; returns (expectations, errors)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh), []
+    except (OSError, json.JSONDecodeError) as err:
+        return {}, [f"cannot read expectations {path}: {err}"]
+
+
 def print_table(header: list[str], rows: list[list[str]]) -> None:
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
               for i in range(len(header))]
@@ -67,6 +76,11 @@ def print_table(header: list[str], rows: list[list[str]]) -> None:
 # span trees from those args — independently of the C++ attribution code —
 # and re-checks the structural invariants plus the exact integer-microsecond
 # reconciliation (sum of exclusive times == root end-to-end duration).
+#
+# `--expect bench/baselines/smoke_trace_expect.json` also pins the run's
+# shape: the trace count, the span count per kind, and the edge count per
+# "parent kind -> kind" pair, so a hop that stops tracing itself (or parents
+# under the wrong span) fails even when every trace still reconciles.
 
 
 @dataclass
@@ -217,6 +231,34 @@ def report_trace(traces: dict) -> None:
     print_table(["request", "count", "mean ms", "p99 ms"], rows)
 
 
+def diff_counts(what: str, want: dict, got: Counter) -> list[str]:
+    return [f"{what} {k!r}: expected {want.get(k, 0)}, dump has {got.get(k, 0)}"
+            for k in sorted(set(want) | set(got)) if want.get(k, 0) != got.get(k, 0)]
+
+
+def check_trace_expectations(traces: dict, expect_path: str) -> list[str]:
+    expect, errors = load_expectations(expect_path)
+    if errors:
+        return errors
+    if "traces" in expect and len(traces) != expect["traces"]:
+        errors.append(f"expected {expect['traces']} traces, dump has {len(traces)}")
+    total = sum(len(members) for members in traces.values())
+    if "spans" in expect and total != expect["spans"]:
+        errors.append(f"expected {expect['spans']} spans, dump has {total}")
+    kinds: Counter = Counter()
+    edges: Counter = Counter()
+    for members in traces.values():
+        for s in members.values():
+            kinds[s.name] += 1
+            if s.parent in members:
+                edges[f"{members[s.parent].name} -> {s.name}"] += 1
+    if "kinds" in expect:
+        errors += diff_counts("kind", expect["kinds"], kinds)
+    if "edges" in expect:
+        errors += diff_counts("edge", expect["edges"], edges)
+    return errors
+
+
 def trace_section(doc: dict, args: argparse.Namespace):
     spans, errors = load_spans(doc)
     traces, link_errors = build_traces(spans)
@@ -224,6 +266,8 @@ def trace_section(doc: dict, args: argparse.Namespace):
     for trace_id in sorted(traces):
         errors.extend(validate_trace(trace_id, traces[trace_id]))
         errors.extend(reconcile_trace(trace_id, traces[trace_id]))
+    if args.expect:
+        errors += check_trace_expectations(traces, args.expect)
     ok = (f"OK: {len(traces)} traces / {len(spans)} spans validated; "
           "all attributions reconcile exactly")
     return errors, ok, lambda: report_trace(traces)
@@ -371,12 +415,9 @@ def check_alerts(doc: dict) -> list[str]:
 
 
 def check_expectations(doc: dict, expect_path: str) -> list[str]:
-    try:
-        with open(expect_path, encoding="utf-8") as fh:
-            expect = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        return [f"cannot read expectations {expect_path}: {err}"]
-    errors = []
+    expect, errors = load_expectations(expect_path)
+    if errors:
+        return errors
     windows = doc["timeseries"]["windows"]
     if "windows" in expect and len(windows) != expect["windows"]:
         errors.append(f"expected {expect['windows']} windows, snapshot has {len(windows)}")
@@ -834,6 +875,10 @@ def main() -> int:
         p.add_argument("file", help=f"JSON written by {flag}")
         p.add_argument("--validate", action="store_true",
                        help="check invariants only; exit 1 on any violation")
+        if name == "trace":
+            p.add_argument("--expect", metavar="JSON",
+                           help="expectations file pinning trace count / spans per "
+                                "kind / parent-kind edges")
         if name == "timeline":
             p.add_argument("--expect", metavar="JSON",
                            help="expectations file pinning window count / counter "

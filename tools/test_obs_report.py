@@ -38,6 +38,10 @@ TRACE = {"traceEvents": [
     span(1, 3, 1, 50, 20, name="http.get"),
 ]}
 
+TRACE_EXPECT = {"traces": 1, "spans": 3,
+                "kinds": {"client.fetch": 1, "dns.lookup": 1, "http.get": 1},
+                "edges": {"client.fetch -> dns.lookup": 1, "client.fetch -> http.get": 1}}
+
 
 def window(index, counters, hist_count):
     return {"index": index, "start_us": index * 30_000_000,
@@ -141,6 +145,8 @@ class ObsReportTest(unittest.TestCase):
 
     def test_trace_valid(self):
         self.assert_passes("trace", TRACE)
+        expect = self.write("expect.json", TRACE_EXPECT)
+        self.assert_passes("trace", TRACE, "--expect", expect)
 
     def test_trace_child_escapes_parent(self):
         doc = copy.deepcopy(TRACE)
@@ -153,6 +159,24 @@ class ObsReportTest(unittest.TestCase):
         doc = copy.deepcopy(TRACE)
         doc["traceEvents"][3]["args"]["parent"] = 9
         self.assert_fails("trace", doc, "exclusive sum 120us != end-to-end 100us")
+
+    def test_trace_expect_missing_kind(self):
+        # Still a valid trace: the root simply bills http.get's time itself.
+        doc = copy.deepcopy(TRACE)
+        del doc["traceEvents"][3]
+        expect = self.write("expect.json", TRACE_EXPECT)
+        self.assert_fails("trace", doc, "kind 'http.get': expected 1, dump has 0",
+                          "--expect", expect)
+
+    def test_trace_expect_moved_edge(self):
+        # http.get now nests inside dns.lookup: valid and reconciling, but
+        # parented under the wrong hop.
+        doc = copy.deepcopy(TRACE)
+        doc["traceEvents"][3].update(ts=15, dur=20)
+        doc["traceEvents"][3]["args"]["parent"] = 2
+        expect = self.write("expect.json", TRACE_EXPECT)
+        self.assert_fails("trace", doc, "edge 'dns.lookup -> http.get': expected 0, dump has 1",
+                          "--expect", expect)
 
     # --- timeline ------------------------------------------------------------
 
